@@ -467,14 +467,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    sys.setrecursionlimit(100_000)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the term parser and printer recurse; the raised limit is put back
+    # on return so that in-process callers keep their own
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 100_000))
     try:
-        return args.fn(args)
-    except WtgcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            return args.fn(args)
+        except WtgcError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

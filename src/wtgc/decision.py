@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import DecisionError
 from .grammar import Wtgc, eq_restriction
 from .pumping import ensure_nonbot_child
-from .semantics import evaluate
+from .semantics import weight_map
 from .transforms import eliminate_zero_derivations
 from .trees import enumerate_trees
 
@@ -151,5 +151,6 @@ def enumerate_support(g: Wtgc, max_size: int) -> list:
     """All trees of size at most max_size with nonzero weight, in
     canonical order; the brute-force oracle for both decisions."""
     zero = g.semiring.zero
+    evaluate = weight_map(g).evaluate
     return [t for t in enumerate_trees(g.alphabet, max_size)
-            if evaluate(g, t) != zero]
+            if evaluate(t) != zero]

@@ -90,11 +90,14 @@ class Wtgc:
 
     Instances are immutable after construction; productions are stored
     sorted by their serialized form, which fixes the `p1, p2, ...`
-    identifiers used in derivation output.
+    identifiers used in derivation output.  Derived views (production
+    identifiers, decompositions, the final support and the weight map
+    of `semantics`) are computed on first use and kept on the instance.
     """
 
     __slots__ = ("nonterminals", "alphabet", "final", "productions",
-                 "semiring", "_cache")
+                 "semiring", "_ids", "_decompositions", "_final_support",
+                 "_weights")
 
     def __init__(self, nonterminals, alphabet: RankedAlphabet, final,
                  productions, semiring: Semiring, check: bool = True):
@@ -105,7 +108,10 @@ class Wtgc:
                       for q in sorted(self.nonterminals)}
         self.productions = tuple(sorted(
             set(productions), key=lambda p: production_str(p, semiring)))
-        self._cache = {}
+        self._ids = None
+        self._decompositions = {}
+        self._final_support = None
+        self._weights = None
         if check:
             problems = validate(self)
             if problems:
@@ -129,37 +135,27 @@ class Wtgc:
     # -- derived views ----------------------------------------------------
 
     def prod_id(self, p: Production) -> str:
-        ids = self._cache.get("ids")
-        if ids is None:
-            ids = {q: f"p{i + 1}" for i, q in enumerate(self.productions)}
-            self._cache["ids"] = ids
+        if self._ids is None:
+            self._ids = {q: f"p{i + 1}"
+                         for i, q in enumerate(self.productions)}
         try:
-            return ids[p]
+            return self._ids[p]
         except KeyError:
             raise GrammarError("foreign production identifier") from None
 
     def decompose(self, p: Production) -> DecomposedLhs:
-        table = self._cache.setdefault("decompose", {})
+        table = self._decompositions
         if p not in table:
             table[p] = decompose(p, self.nonterminals)
         return table[p]
 
-    def matchers(self, target: str, root_label: str):
-        """Productions with the given target whose lhs root carries the
-        given symbol, paired with their decompositions."""
-        table = self._cache.get("matchers")
-        if table is None:
-            table = {}
-            for p in self.productions:
-                key = (p.target, p.lhs.label)
-                table.setdefault(key, []).append((p, self.decompose(p)))
-            self._cache["matchers"] = table
-        return table.get((target, root_label), ())
-
-    def final_support(self):
-        zero = self.semiring.zero
-        return tuple(q for q in sorted(self.nonterminals)
-                     if self.final[q] != zero)
+    def final_support(self) -> tuple[str, ...]:
+        """The nonterminals with a nonzero final weight, sorted."""
+        if self._final_support is None:
+            zero = self.semiring.zero
+            self._final_support = tuple(
+                q for q in self.final if self.final[q] != zero)
+        return self._final_support
 
 
 def decompose(p: Production, nonterminals) -> DecomposedLhs:

@@ -1,6 +1,9 @@
+import sys
+import threading
+
 import pytest
 
-from conftest import gammas, t
+from conftest import gammas, load_grammar, random_wtgc, t
 from wtgc.errors import GrammarError
 from wtgc.grammar import Production, Wtgc
 from wtgc.semantics import (
@@ -12,10 +15,13 @@ from wtgc.semantics import (
     incorporated,
     replay_derivation,
     state_weight,
+    weight_map,
 )
+from wtgc.pumping import separation_family
 from wtgc.semiring import NATURAL, NEG_INF
 from wtgc.syntax import parse_term
-from wtgc.trees import RankedAlphabet, enumerate_trees, leaf, leftmost_key
+from wtgc.trees import RankedAlphabet, Tree, enumerate_trees, leaf, \
+    leftmost_key
 
 ALPHA = leaf("alpha")
 EX1_TREE = t("sigma", gammas(2, ALPHA), gammas(1, ALPHA))
@@ -213,3 +219,100 @@ def test_constraints_checked_on_original_subtree(fx5):
     assert state_weight(fx5, "q", skewed.children[0]) == 1
     assert state_weight(fx5, "q", skewed.children[1]) == 1
     assert evaluate(fx5, skewed) == 0
+
+
+def test_undeclared_nonterminal_is_an_error(fx1):
+    with pytest.raises(GrammarError):
+        state_weight(fx1, "nope", ALPHA)
+    with pytest.raises(GrammarError):
+        derivations(fx1, EX1_TREE, "nope")
+
+
+def _unshared(tree):
+    """A node-by-node copy in which no two positions share an object."""
+    return Tree(tree.label, [_unshared(c) for c in tree.children])
+
+
+def _maximally_shared(tree, pool):
+    """A copy in which all equal subtrees (across the pool) are one
+    object."""
+    node = Tree(tree.label,
+                [_maximally_shared(c, pool) for c in tree.children])
+    return pool.setdefault(node, node)
+
+
+def test_results_do_not_depend_on_sharing():
+    # canonical ids must follow structure, never object identity: the
+    # enumerated trees share children between trees, the unshared copies
+    # share nothing, the pooled copies share every equal subtree
+    for seed in range(30):
+        g = random_wtgc(seed)
+        states = sorted(g.nonterminals)
+        pool = {}
+        for tree in enumerate_trees(g.alphabet, 6):
+            results = []
+            for copy in (_unshared(tree), _maximally_shared(tree, pool),
+                         tree):
+                ds = [derivations(g, copy, q) for q in states]
+                assert all(d.input is copy for group in ds for d in group)
+                results.append((
+                    evaluate(g, copy),
+                    [state_weight(g, q, copy) for q in states],
+                    [[d.steps for d in group] for group in ds]))
+            assert results[0] == results[1] == results[2], seed
+
+
+def _at_default_recursion_limit(fn):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return fn()
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_deep_tree_evaluates_without_recursion():
+    g = load_grammar("fx2g")
+    deep = ALPHA
+    for _ in range(100000):
+        deep = Tree("gamma", [deep])
+    weight = _at_default_recursion_limit(lambda: evaluate(g, deep))
+    assert weight == 200000
+
+
+def test_shared_tree_costs_its_distinct_objects():
+    # 2^201 - 1 nodes, but only 201 distinct objects
+    g = load_grammar("fx5")
+    tree, _ = separation_family(200)
+    weight = _at_default_recursion_limit(lambda: evaluate(g, tree))
+    assert weight == 1
+    assert len(weight_map(g).keys) <= 201
+
+
+def test_one_grammar_shared_between_threads():
+    # the weight map fills in lazily; concurrent callers must neither
+    # lose nor misplace an entry
+    g = load_grammar("fx4")
+    trees = list(enumerate_trees(g.alphabet, 9))
+    reference = [evaluate(load_grammar("fx4"), tree) for tree in trees]
+    results = {}
+
+    def work(k):
+        order = trees if k % 2 else trees[::-1]
+        got = {id(tree): evaluate(g, tree) for tree in order}
+        results[k] = [got[id(tree)] for tree in trees]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert all(results[k] == reference for k in range(4))
+    m = weight_map(g)
+    assert len(m.keys) == len(m.vectors) == len(set(m.keys))
