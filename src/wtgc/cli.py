@@ -11,12 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import decision, pumping, semantics, transforms
 from .errors import WtgcError
-from .grammar import Wtgc, eq_restriction
-from .homomorphism import TreeHom, image_grammar, image_weight_oracle
+from .grammar import Wtgc
+from .homomorphism import (
+    TreeHom,
+    image_grammar,
+    image_weight_oracle,
+    relabeling_hom,
+)
 from .semiring import identity_hom, support_hom
 from .syntax import parse_grammar, parse_hom, parse_term, serialize_grammar
 from .trees import enumerate_trees, pos_str, term_str
@@ -59,14 +65,13 @@ def _oracle_size(value: int) -> int:
     return value
 
 
-def _check_equivalent(before: Wtgc, after: Wtgc, size: int) -> None:
-    for t in enumerate_trees(before.alphabet, _oracle_size(size)):
-        a = semantics.evaluate(before, t)
-        b = semantics.evaluate(after, t)
+def _oracle(alphabet, size: int, expected, actual) -> None:
+    """Compare two functions of a tree on every tree of at most `size`
+    nodes; raises on the first tree where they differ."""
+    for t in enumerate_trees(alphabet, _oracle_size(size)):
+        a, b = expected(t), actual(t)
         if a != b:
-            raise WtgcError(
-                f"oracle mismatch on {term_str(t)}: "
-                f"{before.semiring.format(a)} != {after.semiring.format(b)}")
+            raise WtgcError(f"oracle mismatch on {term_str(t)}: {a} != {b}")
 
 
 def _relabel_map(entries: list[str], map_file: str | None,
@@ -119,113 +124,62 @@ def cmd_transform(args):
     if args.name == "relabel":
         mapping = _relabel_map(args.map or [], args.map_file, g)
         out = transforms.relabel(g, mapping)
-        if args.oracle_size:
-            _check_relabel(g, out, mapping, args.oracle_size)
-    elif args.name in _TRANSFORMS:
-        out = _TRANSFORMS[args.name](g)
-        if args.oracle_size:
-            _check_equivalent(g, out, args.oracle_size)
-    else:
+        h = relabeling_hom(g.alphabet, mapping, out.alphabet)
+        return _finish(args, out, partial(image_weight_oracle, h, g))
+    if args.name not in _TRANSFORMS:
         raise WtgcError(f"unknown transform {args.name!r}")
+    out = _TRANSFORMS[args.name](g)
+    return _finish(args, out, partial(semantics.evaluate, g))
+
+
+def _finish(args, out: Wtgc, expected) -> int:
+    """Check `out` against the expected weights if asked, then write it."""
+    if args.oracle_size:
+        _oracle(out.alphabet, args.oracle_size, expected,
+                partial(semantics.evaluate, out))
     _write_grammar(out, args.out)
     return 0
-
-
-def _check_relabel(g, out, mapping, size):
-    for u in enumerate_trees(out.alphabet, _oracle_size(size)):
-        expected = g.semiring.sum(
-            semantics.evaluate(g, t)
-            for t in _relabel_preimages(g, mapping, u))
-        got = semantics.evaluate(out, u)
-        if expected != got:
-            raise WtgcError(f"oracle mismatch on {term_str(u)}")
-
-
-def _relabel_preimages(g, mapping, u):
-    import itertools
-
-    from .trees import Tree
-
-    sources = {}
-    for name in g.alphabet.names():
-        sources.setdefault(mapping[name], []).append(name)
-
-    def pre(node):
-        child_options = [pre(c) for c in node.children]
-        return [Tree(name, combo)
-                for name in sources.get(node.label, ())
-                for combo in itertools.product(*child_options)]
-
-    return pre(u)
 
 
 def cmd_union(args):
     g = _load_grammar(args.grammar)
     g2 = _load_grammar(args.grammar2)
     out = transforms.disjoint_union(g, g2)
-    if args.oracle_size:
-        _check_pointwise(g, g2, out, g.semiring.add, args.oracle_size)
-    _write_grammar(out, args.out)
-    return 0
+    return _finish(args, out, lambda t: g.semiring.add(
+        semantics.evaluate(g, t), semantics.evaluate(g2, t)))
 
 
 def cmd_product(args):
     g = _load_grammar(args.grammar)
     g2 = _load_grammar(args.grammar2)
     out = transforms.hadamard(g, g2)
-    if args.oracle_size:
-        _check_pointwise(g, g2, out, g.semiring.mul, args.oracle_size)
-    _write_grammar(out, args.out)
-    return 0
-
-
-def _check_pointwise(g, g2, out, op, size):
-    for t in enumerate_trees(g.alphabet, _oracle_size(size)):
-        expected = op(semantics.evaluate(g, t), semantics.evaluate(g2, t))
-        if semantics.evaluate(out, t) != expected:
-            raise WtgcError(f"oracle mismatch on {term_str(t)}")
+    return _finish(args, out, lambda t: g.semiring.mul(
+        semantics.evaluate(g, t), semantics.evaluate(g2, t)))
 
 
 def cmd_support(args):
     g = _load_grammar(args.grammar)
     out = (transforms.support_automaton(g) if args.unambiguous
            else transforms.support_grammar(g))
-    if args.oracle_size:
-        _check_support(g, out, args.oracle_size, complement=False)
-    _write_grammar(out, args.out)
-    return 0
+    return _finish(args, out, lambda t: int(
+        semantics.evaluate(g, t) != g.semiring.zero))
 
 
 def cmd_complement(args):
     g = _load_grammar(args.grammar)
     out = transforms.complement_support(g)
-    if args.oracle_size:
-        _check_support(g, out, args.oracle_size, complement=True)
-    _write_grammar(out, args.out)
-    return 0
-
-
-def _check_support(g, out, size, complement):
-    for t in enumerate_trees(g.alphabet, _oracle_size(size)):
-        inside = semantics.evaluate(g, t) != g.semiring.zero
-        if complement:
-            inside = not inside
-        if semantics.evaluate(out, t) != (1 if inside else 0):
-            raise WtgcError(f"oracle mismatch on {term_str(t)}")
+    return _finish(args, out, lambda t: int(
+        semantics.evaluate(g, t) == g.semiring.zero))
 
 
 def cmd_restrict(args):
     g = _load_grammar(args.grammar)
     g2 = _load_grammar(args.grammar2)
     out = transforms.restrict_support(g, g2)
-    if args.oracle_size:
-        for t in enumerate_trees(g.alphabet, _oracle_size(args.oracle_size)):
-            inside = semantics.evaluate(g2, t) != g2.semiring.zero
-            expected = semantics.evaluate(g, t) if inside else g.semiring.zero
-            if semantics.evaluate(out, t) != expected:
-                raise WtgcError(f"oracle mismatch on {term_str(t)}")
-    _write_grammar(out, args.out)
-    return 0
+    return _finish(args, out, lambda t: (
+        semantics.evaluate(g, t)
+        if semantics.evaluate(g2, t) != g2.semiring.zero
+        else g.semiring.zero))
 
 
 def cmd_disambiguate(args):
@@ -235,28 +189,18 @@ def cmd_disambiguate(args):
     out = transforms.disambiguate(
         g, hom, prune_unsat=args.prune_unsat)
     if args.oracle_size:
-        size = _oracle_size(args.oracle_size)
-        witness = semantics.check_unambiguous_upto(out, size)
+        witness = semantics.check_unambiguous_upto(
+            out, _oracle_size(args.oracle_size))
         if witness is not None:
             raise WtgcError(f"ambiguous on {term_str(witness)}")
-        for t in enumerate_trees(g.alphabet, size):
-            if semantics.evaluate(out, t) != hom(semantics.evaluate(g, t)):
-                raise WtgcError(f"oracle mismatch on {term_str(t)}")
-    _write_grammar(out, args.out)
-    return 0
+    return _finish(args, out, lambda t: hom(semantics.evaluate(g, t)))
 
 
 def cmd_image(args):
     g = _load_grammar(args.grammar)
     h = _load_hom(args.hom, g.alphabet)
-    prepared = transforms.normalize(g)
-    out = image_grammar(prepared, h)
-    if args.oracle_size:
-        for u in enumerate_trees(out.alphabet, _oracle_size(args.oracle_size)):
-            if semantics.evaluate(out, u) != image_weight_oracle(h, g, u):
-                raise WtgcError(f"oracle mismatch on {term_str(u)}")
-    _write_grammar(out, args.out)
-    return 0
+    out = image_grammar(transforms.normalize(g), h)
+    return _finish(args, out, partial(image_weight_oracle, h, g))
 
 
 def cmd_image_eval(args):
@@ -272,23 +216,7 @@ def cmd_pump(args):
     prepared = transforms.eliminate_zero_derivations(
         pumping.ensure_nonbot_child(g))
     t = _tree_for(prepared, args.tree)
-    restriction = eq_restriction(prepared)
-    if restriction is None:
-        raise WtgcError("pumping needs an eq-restricted grammar")
-    sink = restriction.sink
-    base = None
-    for q in prepared.final_support():
-        if q == sink:
-            continue
-        for d in semantics.derivations(prepared, t, q):
-            if semantics.derivation_weight(prepared, d) \
-                    != prepared.semiring.zero:
-                base = d
-                break
-        if base is not None:
-            break
-    if base is None:
-        raise WtgcError("the tree has no accepting nonzero derivation")
+    base = pumping.base_derivation(prepared, t)
     for pumped_tree, _ in pumping.pump(prepared, t, base, args.count):
         print(term_str(pumped_tree))
     return 0
@@ -329,48 +257,39 @@ def cmd_oracle(args):
             failures += 1
             continue
         g = _load_grammar(str(path))
-        failures += _run_battery(name, g, size)
+        states = sorted(g.nonterminals)
+        failures += not _passes(
+            f"{name} derivation-sum", _oracle, g.alphabet, size,
+            lambda t: tuple(g.semiring.sum(
+                semantics.derivation_weight(g, d)
+                for d in semantics.derivations(g, t, q)) for q in states),
+            lambda t: tuple(semantics.state_weight(g, q, t)
+                            for q in states))
+        for label in ("normalize", "boolean-finals", "eliminate-zero"):
+            failures += not _passes(
+                f"{name} {label}", lambda: _oracle(
+                    g.alphabet, size, partial(semantics.evaluate, g),
+                    partial(semantics.evaluate, _TRANSFORMS[label](g))))
     if (fixtures / "fx3.wtg").exists() and (fixtures / "fx3.hom").exists():
         g = _load_grammar(str(fixtures / "fx3.wtg"))
         h = _load_hom(str(fixtures / "fx3.hom"), g.alphabet)
         out = image_grammar(transforms.normalize(g), h)
-        ok = all(semantics.evaluate(out, u) == image_weight_oracle(h, g, u)
-                 for u in enumerate_trees(out.alphabet, size))
-        print(f"fx3 image-oracle: {'PASS' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
+        failures += not _passes(
+            "fx3 image-oracle", _oracle, out.alphabet, size,
+            partial(image_weight_oracle, h, g),
+            partial(semantics.evaluate, out))
     return 1 if failures else 0
 
 
-def _run_battery(name: str, g: Wtgc, size: int) -> int:
-    failures = 0
-
-    def report(check: str, ok: bool):
-        nonlocal failures
-        print(f"{name} {check}: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures += 1
-
-    ok = True
-    for t in enumerate_trees(g.alphabet, size):
-        for q in sorted(g.nonterminals):
-            total = g.semiring.sum(
-                semantics.derivation_weight(g, d)
-                for d in semantics.derivations(g, t, q))
-            if total != semantics.state_weight(g, q, t):
-                ok = False
-    report("derivation-sum", ok)
-
-    for label, fn in (("normalize", transforms.normalize),
-                      ("boolean-finals", transforms.boolean_finals),
-                      ("eliminate-zero",
-                       transforms.eliminate_zero_derivations)):
-        try:
-            out = fn(g)
-            _check_equivalent(g, out, size)
-            report(label, True)
-        except WtgcError:
-            report(label, False)
-    return failures
+def _passes(label: str, check, *args) -> bool:
+    """Run one battery check and print its PASS or FAIL line."""
+    try:
+        check(*args)
+    except WtgcError:
+        print(f"{label}: FAIL")
+        return False
+    print(f"{label}: PASS")
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -217,11 +217,6 @@ def validate(g: Wtgc) -> list[str]:
     return out
 
 
-def strip_zero(productions, semiring: Semiring):
-    """Drop zero-weight productions; they contribute nothing to any sum."""
-    return [p for p in productions if p.weight != semiring.zero]
-
-
 @dataclass(frozen=True)
 class Classification:
     normalized: bool
@@ -359,12 +354,6 @@ def eq_restriction(g: Wtgc):
         if ok:
             return EqRestriction(sink, governing)
     return None
-
-
-def rename_nonterminals(t: Tree, mapping: dict) -> Tree:
-    if not t.children:
-        return leaf(mapping[t.label]) if t.label in mapping else t
-    return Tree(t.label, [rename_nonterminals(c, mapping) for c in t.children])
 
 
 def fresh_name(base: str, taken) -> str:

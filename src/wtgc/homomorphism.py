@@ -21,6 +21,7 @@ from .trees import (
     is_variable,
     leaf,
     positions,
+    replace,
     substitute,
     subtree,
     term_str,
@@ -81,10 +82,14 @@ def _check_rhs(t: Tree, rank: int, target: RankedAlphabet):
         _check_rhs(c, rank, target)
 
 
-def identity_tree_hom(alphabet: RankedAlphabet) -> TreeHom:
-    rhs = {name: Tree(name, [leaf(variable(i + 1)) for i in range(rank)])
-           for name, rank in alphabet.symbols()}
-    return TreeHom(alphabet, alphabet, rhs)
+def relabeling_hom(source: RankedAlphabet, pi: dict,
+                   target: RankedAlphabet) -> TreeHom:
+    """The homomorphism renaming each symbol by pi; symbols outside pi
+    keep their name."""
+    rhs = {name: Tree(pi.get(name, name),
+                      [leaf(variable(i + 1)) for i in range(rank)])
+           for name, rank in source.symbols()}
+    return TreeHom(source, target, rhs)
 
 
 def apply(h: TreeHom, t: Tree) -> Tree:
@@ -149,14 +154,6 @@ def annotated_symbol(delta: str, pid: str) -> str:
     return f"{delta}#{pid}"
 
 
-def _plug_positions(node: Tree, prefix, assignment: dict) -> Tree:
-    if prefix in assignment:
-        return leaf(assignment[prefix])
-    return Tree(node.label,
-                [_plug_positions(c, prefix + (j,), assignment)
-                 for j, c in enumerate(node.children, start=1)])
-
-
 def hom_image_stage_one(g: Wtgc, h: TreeHom) -> Wtgc:
     """The annotated intermediate grammar of the image construction.
 
@@ -200,11 +197,11 @@ def hom_image_stage_one(g: Wtgc, h: TreeHom) -> Wtgc:
         assignment = {}
         for i, state in enumerate(dec.states, start=1):
             occ = sorted(occurrences[variable(i)])
-            assignment[occ[0]] = state
+            assignment[occ[0]] = leaf(state)
             for w in occ[1:]:
-                assignment[w] = bot
+                assignment[w] = leaf(bot)
             constraints.update(itertools.combinations(occ, 2))
-        body = _plug_positions(u, (), assignment)
+        body = replace(u, assignment)
         root = annotated_symbol(u.label, g.prod_id(p))
         productions.add(Production(Tree(root, body.children), p.target,
                                    p.weight, constraints))

@@ -17,10 +17,19 @@ from .grammar import Production, Wtgc, eq_restriction, fresh_name
 from .semantics import (
     Derivation,
     derivation_weight,
+    derivations,
     incorporated,
     replay_derivation,
 )
-from .trees import Position, Tree, leaf, leftmost_key, positions, subtree
+from .trees import (
+    Position,
+    Tree,
+    leaf,
+    leftmost_key,
+    positions,
+    replace,
+    subtree,
+)
 
 
 @dataclass(frozen=True)
@@ -105,25 +114,11 @@ def substitute_derivation(site: SubstitutionSite) -> tuple[Tree, Derivation]:
             out_subtrees.append(sub)
             out_steps.extend((pp, vpos + pos) for pp, pos in block)
         out_steps.append((p, ()))
-        new_tree = _plug(dec.context,
-                         dict(zip(dec.positions, out_subtrees)))
+        new_tree = replace(t, dict(zip(dec.positions, out_subtrees)))
         return new_tree, tuple(out_steps)
 
     new_tree, new_steps = rec(site.base_tree, base.steps, site.at)
     return new_tree, Derivation(new_steps, new_tree, base.target)
-
-
-def _plug(context: Tree, at: dict) -> Tree:
-    """Rebuild the matched tree with the given subtrees at the variable
-    positions of the decomposed left-hand side."""
-    def walk(node, prefix):
-        if prefix in at:
-            return at[prefix]
-        return Tree(node.label,
-                    [walk(c, prefix + (i,))
-                     for i, c in enumerate(node.children, start=1)])
-
-    return walk(context, ())
 
 
 def _linked_positions(g: Wtgc, er, p: Production, j: int) -> set:
@@ -152,8 +147,7 @@ def ensure_nonbot_child(g: Wtgc) -> Wtgc:
     productions = set(g.productions)
     for p in offenders:
         productions.remove(p)
-        dec = g.decompose(p)
-        lhs = _replace_leaf(p.lhs, dec.positions[0], top)
+        lhs = replace(p.lhs, {g.decompose(p).positions[0]: leaf(top)})
         productions.add(Production(lhs, p.target, p.weight, p.eq, p.ineq))
     for name, rank in g.alphabet.symbols():
         productions.add(Production(Tree(name, [leaf(top)] * rank), top,
@@ -162,14 +156,6 @@ def ensure_nonbot_child(g: Wtgc) -> Wtgc:
     final[top] = s.zero
     return Wtgc(set(g.nonterminals) | {top}, g.alphabet, final, productions,
                 s)
-
-
-def _replace_leaf(t: Tree, w: Position, label: str) -> Tree:
-    if not w:
-        return leaf(label)
-    children = list(t.children)
-    children[w[0] - 1] = _replace_leaf(children[w[0] - 1], w[1:], label)
-    return Tree(t.label, children)
 
 
 def grammar_height(g: Wtgc) -> int:
@@ -232,30 +218,16 @@ def _pump_once(g: Wtgc, sink: str, t: Tree, d: Derivation):
     return new_t, new_d
 
 
-def search_pump_base(g: Wtgc, max_size: int):
-    """Plumbing: the first accepted tree of size at most `max_size` that
-    is taller than the grammar height, paired with a nonzero derivation
-    to a final-supported non-sink nonterminal; None if the bound is too
-    small.  Callers with duplicating grammars should construct the base
-    themselves, since sizes outgrow heights quickly there."""
-    from .semantics import derivations
-    from .trees import enumerate_trees
-
-    er = eq_restriction(g)
-    if er is None:
-        raise PumpError("pumping needs an eq-restricted grammar")
-    bound = grammar_height(g)
+def base_derivation(g: Wtgc, t: Tree) -> Derivation:
+    """The first derivation of t with nonzero weight to a final
+    nonterminal, in final-support order; the sink of an eq-restricted
+    grammar has final weight zero, so it is never the target."""
     zero = g.semiring.zero
-    for tree in enumerate_trees(g.alphabet, max_size):
-        if tree.height <= bound:
-            continue
-        for q in g.final_support():
-            if q == er.sink:
-                continue
-            for d in derivations(g, tree, q):
-                if derivation_weight(g, d) != zero:
-                    return tree, d
-    return None
+    for q in g.final_support():
+        for d in derivations(g, t, q):
+            if derivation_weight(g, d) != zero:
+                return d
+    raise PumpError("the tree has no accepting nonzero derivation")
 
 
 def separation_family(n: int) -> tuple[Tree, Tree]:

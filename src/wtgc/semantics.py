@@ -585,7 +585,7 @@ def replay_derivation(g: Wtgc, d: Derivation) -> bool:
             return False
         if not dissatisfies_all(checked, p.ineq):
             return False
-        form = replace(form, leaf(p.target), w)
+        form = replace(form, {w: leaf(p.target)})
     return form == leaf(d.target)
 
 

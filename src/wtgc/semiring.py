@@ -95,11 +95,6 @@ class Semiring:
     def format(self, a) -> str:
         raise NotImplementedError
 
-    def check_element(self, a):
-        if not self.contains(a):
-            raise SemiringError(f"{a!r} is not an element of {self.name}")
-        return a
-
     def __eq__(self, other):
         return isinstance(other, Semiring) and self.name == other.name
 

@@ -21,7 +21,6 @@ from .grammar import (
     classify,
     eq_restriction,
     fresh_name,
-    rename_nonterminals,
 )
 from .semiring import BOOLEAN, Semiring, SemiringHom, support_hom
 from .trees import (
@@ -29,7 +28,9 @@ from .trees import (
     Tree,
     dissatisfies_all,
     leaf,
+    replace,
     satisfies_all,
+    substitute,
     term_str,
     trees_of_size,
 )
@@ -155,8 +156,7 @@ def _zero_setup(g: Wtgc):
     def value(vec: DicksonVector):
         return s.prod(s.power(w, e) for w, e in zip(weights, vec.exponents))
 
-    zero_vec = DicksonVector((0,) * len(weights), cap)
-    return unit, value, zero_vec
+    return unit, value
 
 
 def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
@@ -170,7 +170,7 @@ def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
     an eq-restricted input a sink.
     """
     s = g.semiring
-    unit, value, _ = _zero_setup(g)
+    unit, value = _zero_setup(g)
     value_cache: dict[DicksonVector, object] = {}
 
     def nonzero(vec):
@@ -214,9 +214,10 @@ def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
                     continue
                 if vec not in vectors[p.target]:
                     vectors[p.target].append(vec)
-                lhs = p.lhs
-                for state, child, w in zip(dec.states, combo, dec.positions):
-                    lhs = _relabel_leaf(lhs, w, name_of(state, child))
+                lhs = replace(p.lhs, {
+                    w: leaf(name_of(state, child))
+                    for state, child, w in zip(dec.states, combo,
+                                               dec.positions)})
                 productions.add(Production(lhs, name_of(p.target, vec),
                                            p.weight, p.eq, p.ineq))
     nonterminals = set()
@@ -227,14 +228,6 @@ def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
             nonterminals.add(name)
             final[name] = g.final[q]
     return Wtgc(nonterminals, g.alphabet, final, productions, s)
-
-
-def _relabel_leaf(t: Tree, w, new_label: str) -> Tree:
-    if not w:
-        return leaf(new_label)
-    children = list(t.children)
-    children[w[0] - 1] = _relabel_leaf(children[w[0] - 1], w[1:], new_label)
-    return Tree(t.label, children)
 
 
 # -- support ----------------------------------------------------------------
@@ -293,9 +286,10 @@ def disjoint_union(g: Wtgc, g2: Wtgc) -> Wtgc:
         rename[q] = fresh_name(q, taken)
         taken.add(rename[q])
         nonterminals.add(rename[q])
+    leaves = {q: leaf(name) for q, name in rename.items()}
     productions = set(g.productions)
     for p in g2.productions:
-        productions.add(Production(rename_nonterminals(p.lhs, rename),
+        productions.add(Production(substitute(p.lhs, leaves),
                                    rename[p.target], p.weight, p.eq, p.ineq))
     final = dict(g.final)
     final.update({rename[q]: w for q, w in g2.final.items()})

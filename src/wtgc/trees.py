@@ -180,16 +180,28 @@ def subtree(t: Tree, w: Position) -> Tree:
     return node
 
 
-def replace(t: Tree, u: Tree, w: Position) -> Tree:
-    """The substitution of u into t at w."""
-    if not w:
-        return u
-    i = w[0]
-    if i < 1 or i > len(t.children):
-        raise InvalidPositionError(f"position {pos_str(w)} not in tree")
-    children = list(t.children)
-    children[i - 1] = replace(children[i - 1], u, w[1:])
-    return Tree(t.label, children)
+def replace(t: Tree, at: dict) -> Tree:
+    """t with the subtree at each position w of `at` replaced by at[w].
+
+    The positions must be pairwise incomparable.  Only the nodes on the
+    paths from the root to the keys are rebuilt, bottom-up without
+    recursion; every other subtree is shared with t.
+    """
+    for w, u in at.items():
+        path = []
+        node = t
+        for i in w:
+            if i < 1 or i > len(node.children):
+                raise InvalidPositionError(
+                    f"position {pos_str(w)} not in tree")
+            path.append(node)
+            node = node.children[i - 1]
+        for node, i in zip(reversed(path), reversed(w)):
+            children = list(node.children)
+            children[i - 1] = u
+            u = Tree(node.label, children)
+        t = u
+    return t
 
 
 def substitute(t: Tree, theta: dict) -> Tree:
@@ -207,10 +219,6 @@ def yield_of(t: Tree, keep=is_variable) -> tuple[str, ...]:
     for c in t.children:
         out.extend(yield_of(c, keep))
     return tuple(out)
-
-
-def height_and_size(t: Tree) -> tuple[int, int]:
-    return t.height, t.size
 
 
 def satisfies(t: Tree, constraint) -> bool:

@@ -1,7 +1,9 @@
 import json
 
 from conftest import FIXTURES
+from wtgc import cli, transforms
 from wtgc.cli import main
+from wtgc.grammar import Wtgc
 from wtgc.syntax import parse_grammar
 
 
@@ -219,3 +221,39 @@ def test_outputs_byte_stable(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[2] and runs[1] == runs[3]
+
+
+def emptied(g):
+    """g without productions: zero on every tree."""
+    return Wtgc(g.nonterminals, g.alphabet, g.final, (), g.semiring)
+
+
+def test_oracle_mismatch_exits_2(capsys, monkeypatch):
+    normalize = cli._TRANSFORMS["normalize"]
+    monkeypatch.setitem(cli._TRANSFORMS, "normalize",
+                        lambda g: emptied(normalize(g)))
+    for name in ("hadamard", "relabel"):
+        real = getattr(transforms, name)
+        monkeypatch.setattr(transforms, name,
+                            lambda *args, real=real: emptied(real(*args)))
+    for argv in (
+            ["transform", "normalize", "--grammar", fx("fx1.wtg")],
+            ["product", "--grammar", fx("fx2g.wtg"),
+             "--grammar2", fx("fx2gp.wtg")],
+            ["transform", "relabel", "--grammar", fx("fx4.wtg"),
+             "--map", "f=g"]):
+        code, out, err = run(capsys, *argv, "--oracle-size", "6")
+        assert code == 2, argv
+        assert err.startswith("error: oracle mismatch on "), argv
+        assert out == ""
+
+
+def test_oracle_battery_reports_a_broken_transform(capsys, monkeypatch):
+    normalize = cli._TRANSFORMS["normalize"]
+    monkeypatch.setitem(cli._TRANSFORMS, "normalize",
+                        lambda g: emptied(normalize(g)))
+    code, out, _ = run(capsys, "oracle", "--fixtures", str(FIXTURES),
+                       "--size", "4")
+    assert code == 1
+    assert "fx1 normalize: FAIL" in out.splitlines()
+    assert "fx1 boolean-finals: PASS" in out.splitlines()

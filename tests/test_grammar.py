@@ -9,7 +9,6 @@ from wtgc.grammar import (
     eq_restriction,
     index_constraints,
     production_str,
-    strip_zero,
     validate,
 )
 from wtgc.semiring import ARCTIC, NATURAL
@@ -41,12 +40,6 @@ def test_validate_arity():
     g = Wtgc({"q"}, ABC, {}, [Production(t("sigma", leaf("q")), "q", 1)],
              NATURAL, check=False)
     assert any("arity mismatch" in d for d in validate(g))
-
-
-def test_strip_zero():
-    keep = Production(leaf("alpha"), "q", 1)
-    drop = Production(t("gamma", leaf("q")), "q", 0)
-    assert strip_zero([keep, drop], NATURAL) == [keep]
 
 
 def _prod(g, text):

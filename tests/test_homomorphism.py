@@ -8,10 +8,10 @@ from wtgc.homomorphism import (
     annotated_symbol,
     apply,
     hom_image_stage_one,
-    identity_tree_hom,
     image_grammar,
     image_weight_oracle,
     preimage,
+    relabeling_hom,
 )
 from wtgc.semantics import (
     derivation_weight,
@@ -30,7 +30,7 @@ def test_apply_example(fx3_hom):
 
 
 def test_apply_identity(fx3):
-    ident = identity_tree_hom(fx3.alphabet)
+    ident = relabeling_hom(fx3.alphabet, {}, fx3.alphabet)
     for tree in enumerate_trees(fx3.alphabet, 5):
         assert apply(ident, tree) == tree
 
@@ -68,7 +68,7 @@ def test_preimage_example(fx3_hom):
 
 
 def test_preimage_identity(fx3):
-    ident = identity_tree_hom(fx3.alphabet)
+    ident = relabeling_hom(fx3.alphabet, {}, fx3.alphabet)
     for tree in enumerate_trees(fx3.alphabet, 5):
         assert preimage(ident, tree) == [tree]
 

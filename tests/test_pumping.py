@@ -5,6 +5,7 @@ from wtgc.errors import PumpError
 from wtgc.grammar import Production, Wtgc, eq_restriction
 from wtgc.pumping import (
     SubstitutionSite,
+    base_derivation,
     ensure_nonbot_child,
     grammar_height,
     pump,
@@ -176,8 +177,6 @@ def test_pump_rejects_short_trees(fx4_prepared):
 
 
 def test_search_pump_base():
-    from wtgc.pumping import search_pump_base
-
     alphabet = RankedAlphabet({"a": 0, "g": 1})
     g = Wtgc({"q", "bot"}, alphabet, {"q": 1},
              [Production(leaf("a"), "q", 1),
@@ -186,15 +185,21 @@ def test_search_pump_base():
               Production(t("g", leaf("bot")), "bot", 1)],
              NATURAL)
     assert grammar_height(g) == 3
-    found = search_pump_base(g, 8)
-    assert found is not None
-    base, d = found
-    assert base.height > 3
+    base = next(tree for tree in enumerate_trees(alphabet, 8)
+                if tree.height > 3)
+    d = base_derivation(g, base)
+    assert d.target == "q"
     assert replay_derivation(g, d)
     pumped = pump(g, base, d, 2)
     assert [x[0].height for x in pumped] == [base.height + 1,
                                              base.height + 2]
-    assert search_pump_base(g, 3) is None
+
+
+def test_base_derivation_needs_an_accepting_derivation(fx4_prepared):
+    # f(a,a) matches no f-production of fx4 outside the sink
+    with pytest.raises(PumpError, match="no accepting nonzero derivation"):
+        base_derivation(fx4_prepared, parse_term("f(a,a)",
+                                                 fx4_prepared.alphabet))
 
 
 def test_separation_family_examples():

@@ -9,7 +9,6 @@ from wtgc.trees import (
     Tree,
     dissatisfies_all,
     enumerate_trees,
-    height_and_size,
     leaf,
     parse_pos,
     pos_str,
@@ -69,19 +68,19 @@ def test_subtree_invalid_position():
 
 def test_replace_root():
     u = t("gamma", ALPHA)
-    assert replace(EX1_TREE, u, ()) == u
+    assert replace(EX1_TREE, {(): u}) == u
 
 
 def test_replace_child():
-    assert replace(t("sigma", ALPHA, ALPHA), t("gamma", ALPHA), (2,)) \
+    assert replace(t("sigma", ALPHA, ALPHA), {(2,): t("gamma", ALPHA)}) \
         == t("sigma", ALPHA, t("gamma", ALPHA))
 
 
 def test_replace_is_an_involution():
     u = t("gamma", leaf("beta"))
     for w in positions(EX1_TREE):
-        patched = replace(EX1_TREE, u, w)
-        assert replace(patched, subtree(EX1_TREE, w), w) == EX1_TREE
+        patched = replace(EX1_TREE, {w: u})
+        assert replace(patched, {w: subtree(EX1_TREE, w)}) == EX1_TREE
 
 
 def test_substitute():
@@ -102,10 +101,11 @@ def test_yield():
 
 
 def test_height_and_size():
-    assert height_and_size(ALPHA) == (0, 1)  # max |w| over one position
-    assert height_and_size(EX1_TREE) == (3, 6)
+    assert (ALPHA.height, ALPHA.size) == (0, 1)  # max |w| over one position
+    assert (EX1_TREE.height, EX1_TREE.size) == (3, 6)
     for n in range(5):
-        assert height_and_size(gammas(n, ALPHA)) == (n, n + 1)
+        chain = gammas(n, ALPHA)
+        assert (chain.height, chain.size) == (n, n + 1)
 
 
 def test_satisfies():
@@ -143,10 +143,29 @@ def test_size_is_one_plus_children(tree):
     assert tree.size == 1 + sum(c.size for c in tree.children)
 
 
-@given(trees(), trees())
-def test_subtree_of_replace(tree, u):
-    for w in positions(tree):
-        assert subtree(replace(tree, u, w), w) == u
+def test_replace_rejects_a_missing_position():
+    with pytest.raises(InvalidPositionError, match="position 2.2 "):
+        replace(EX1_TREE, {(1,): ALPHA, (2, 2): ALPHA})
+
+
+def comparable(v, w):
+    return v[:len(w)] == w or w[:len(v)] == v
+
+
+@given(trees(), st.data())
+def test_subtree_of_replace(tree, data):
+    # a random antichain of positions, each with its own replacement
+    at = {}
+    for w in data.draw(st.lists(st.sampled_from(positions(tree)))):
+        if not any(comparable(w, v) for v in at):
+            at[w] = data.draw(trees())
+    patched = replace(tree, at)
+    for w, u in at.items():
+        assert subtree(patched, w) is u
+    for v in positions(tree):
+        if not any(comparable(v, w) for w in at):
+            # off every copied path: the input's own object
+            assert subtree(patched, v) is subtree(tree, v)
 
 
 @given(trees())
