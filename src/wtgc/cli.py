@@ -186,8 +186,7 @@ def cmd_disambiguate(args):
     g = _load_grammar(args.grammar)
     hom = (identity_hom(g.semiring) if args.hom == "identity"
            else support_hom(g.semiring))
-    out = transforms.disambiguate(
-        g, hom, prune_unsat=args.prune_unsat)
+    out = transforms.disambiguate(g, hom)
     if args.oracle_size:
         witness = semantics.check_unambiguous_upto(
             out, _oracle_size(args.oracle_size))
@@ -344,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grammar", required=True)
     p.add_argument("--hom", choices=("support", "identity"),
                    default="support")
-    p.add_argument("--prune-unsat", type=int, default=None)
     p.add_argument("--out")
     p.add_argument("--oracle-size", type=int, default=0)
 

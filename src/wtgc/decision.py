@@ -23,7 +23,7 @@ from .errors import DecisionError
 from .grammar import Wtgc, eq_restriction
 from .pumping import ensure_nonbot_child
 from .semantics import weight_map
-from .transforms import eliminate_zero_derivations
+from .transforms import eliminate_zero_derivations, saturate
 from .trees import enumerate_trees
 
 
@@ -52,29 +52,19 @@ def productivity(g: Wtgc) -> ProductivityTable:
     nonterminals reachable from the final support through productions
     with productive children."""
     decs = {p: g.decompose(p) for p in g.productions}
-    productive = set()
-    changed = True
-    while changed:
-        changed = False
-        for p, dec in decs.items():
-            if p.target in productive:
-                continue
-            if all(state in productive for state in dec.states):
-                productive.add(p.target)
-                changed = True
+    productive = saturate({p: dec.states for p, dec in decs.items()},
+                          lambda p, _: ((p.target, True),))
+    below: dict[str, set] = {}
+    for p, dec in decs.items():
+        if all(state in productive for state in dec.states):
+            below.setdefault(p.target, set()).update(dec.states)
     reachable = set(g.final_support())
-    changed = True
-    while changed:
-        changed = False
-        for p, dec in decs.items():
-            if p.target not in reachable:
-                continue
-            if not all(state in productive for state in dec.states):
-                continue
-            for state in dec.states:
-                if state not in reachable:
-                    reachable.add(state)
-                    changed = True
+    todo = list(reachable)
+    while todo:
+        for state in below.get(todo.pop(), ()):
+            if state not in reachable:
+                reachable.add(state)
+                todo.append(state)
     return ProductivityTable(frozenset(productive), frozenset(reachable))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import HomomorphismError
 from .grammar import Production, Wtgc, classify
@@ -55,14 +56,14 @@ class TreeHom:
         walk(self.rhs[name])
         return out
 
-    @property
+    @cached_property
     def nondeleting(self) -> bool:
         return all(
             self.variables_of(name) ==
             {variable(i + 1) for i in range(rank)}
             for name, rank in self.source.symbols())
 
-    @property
+    @cached_property
     def nonerasing(self) -> bool:
         return all(not is_variable(self.rhs[name].label)
                    for name in self.source)

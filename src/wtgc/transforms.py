@@ -7,12 +7,19 @@ union, Hadamard product, the powerset disambiguation, support
 restriction/complement, and relabeling of eq-restricted grammars.
 Each construction is paired with a bounded evaluation oracle in the
 test suite.
+
+Zero-derivation elimination, constraint determination, the Hadamard
+product and disambiguation (and the productivity table of `decision`)
+compute one least fixpoint: a nonterminal exists once every child slot
+of some production is filled.  `saturate` evaluates it semi-naively for
+all of them, so each builds only the nonterminals reached bottom-up,
+and `STATE_CAP` bounds them all.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import TransformError
 from .grammar import (
@@ -26,20 +33,90 @@ from .semiring import BOOLEAN, Semiring, SemiringHom, support_hom
 from .trees import (
     RankedAlphabet,
     Tree,
-    dissatisfies_all,
     leaf,
     replace,
-    satisfies_all,
     substitute,
     term_str,
-    trees_of_size,
 )
+
+STATE_CAP = 1_000_000
+"""The most values one `saturate` call may find; one more raises
+`TransformError`."""
 
 
 def _mangle(t: Tree) -> str:
     """Serialized tree as a nonterminal-safe name."""
     return (term_str(t).replace("(", "[").replace(")", "]")
             .replace(",", ";"))
+
+
+class _Names(dict):
+    """Fresh nonterminal names, spelled on first lookup by `spell(key)`
+    and kept apart from the alphabet's symbols and from each other."""
+
+    def __init__(self, alphabet: RankedAlphabet, spell):
+        super().__init__()
+        self.taken = set(alphabet.names())
+        self.spell = spell
+
+    def __missing__(self, key):
+        name = self[key] = fresh_name(self.spell(key), self.taken)
+        self.taken.add(name)
+        return name
+
+
+# -- bottom-up saturation ----------------------------------------------------
+
+
+def saturate(rules: dict, fire) -> dict:
+    """The least fixpoint of bottom-up rules, evaluated semi-naively
+    (Bancilhon & Ramakrishnan, 1986).
+
+    `rules` maps each rule to the tuple of pool keys its slots draw
+    values from.  `fire(rule, combo)` is called exactly once for every
+    combination of values of the final pools: when the combination's
+    last-found value is processed, at the first slot that holds it.  It
+    returns the (key, value) pairs it derives; each value is kept once.
+    The result maps every pool that found a value to its values in the
+    order they were found.  Finding more than `STATE_CAP` values raises
+    `TransformError`.
+    """
+    watchers: dict = {}
+    for rule, slots in rules.items():
+        for i, key in enumerate(slots):
+            watchers.setdefault(key, []).append((rule, i))
+    pools: dict = {}
+    found: list = []
+
+    def keep(derived):
+        for key, value in derived:
+            pool = pools.setdefault(key, {})
+            if value not in pool:
+                if len(found) >= STATE_CAP:
+                    raise TransformError(
+                        f"construction exceeded {STATE_CAP} states")
+                pool[value] = None
+                found.append((key, value))
+
+    for rule, slots in rules.items():
+        if not slots:
+            keep(fire(rule, ()))
+    processed: dict = {}
+    n = 0
+    while n < len(found):
+        key, value = found[n]
+        n += 1
+        seen = processed.setdefault(key, [])
+        seen.append(value)
+        for rule, i in watchers.get(key, ()):
+            # slots of the same pool left of i take only older values
+            ranges = [(value,) if j == i
+                      else seen[:-1] if j < i and k == key
+                      else processed.get(k, ())
+                      for j, k in enumerate(rules[rule])]
+            for combo in product(*ranges):
+                keep(fire(rule, combo))
+    return {key: list(pool) for key, pool in pools.items()}
 
 
 # -- normalization ---------------------------------------------------------
@@ -178,56 +255,29 @@ def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
             value_cache[vec] = value(vec)
         return value_cache[vec] != s.zero
 
-    taken = set(g.alphabet.names())
-    names: dict[tuple, str] = {}
-
-    def name_of(q: str, vec: DicksonVector) -> str:
-        key = (q, vec)
-        if key not in names:
-            base = f"{q}#[{'.'.join(str(e) for e in vec.exponents)}]"
-            names[key] = fresh_name(base, taken)
-            taken.add(names[key])
-        return names[key]
-
+    names = _Names(g.alphabet, lambda key: (
+        f"{key[0]}#[{'.'.join(str(e) for e in key[1].exponents)}]"))
     decs = {p: g.decompose(p) for p in g.productions}
-    vectors: dict[str, list[DicksonVector]] = {q: [] for q in g.nonterminals}
     productions = set()
-    done = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            dec = decs[p]
-            pools = [vectors[state] for state in dec.states]
-            if any(not pool for pool in pools):
-                continue
-            for combo in itertools.product(*[tuple(pool) for pool in pools]):
-                key = (p, combo)
-                if key in done:
-                    continue
-                done.add(key)
-                changed = True
-                vec = unit(p.weight)
-                for child in combo:
-                    vec = vec.oplus(child)
-                if not nonzero(vec):
-                    continue
-                if vec not in vectors[p.target]:
-                    vectors[p.target].append(vec)
-                lhs = replace(p.lhs, {
-                    w: leaf(name_of(state, child))
-                    for state, child, w in zip(dec.states, combo,
-                                               dec.positions)})
-                productions.add(Production(lhs, name_of(p.target, vec),
-                                           p.weight, p.eq, p.ineq))
-    nonterminals = set()
-    final = {}
-    for q, vecs in vectors.items():
-        for vec in vecs:
-            name = name_of(q, vec)
-            nonterminals.add(name)
-            final[name] = g.final[q]
-    return Wtgc(nonterminals, g.alphabet, final, productions, s)
+
+    def fire(p, combo):
+        vec = unit(p.weight)
+        for child in combo:
+            vec = vec.oplus(child)
+        if not nonzero(vec):
+            return ()
+        dec = decs[p]
+        lhs = replace(p.lhs, {w: leaf(names[(state, child)])
+                              for state, child, w in zip(dec.states, combo,
+                                                         dec.positions)})
+        productions.add(Production(lhs, names[(p.target, vec)], p.weight,
+                                   p.eq, p.ineq))
+        return ((p.target, vec),)
+
+    vectors = saturate({p: dec.states for p, dec in decs.items()}, fire)
+    final = {names[(q, vec)]: g.final[q]
+             for q, vecs in vectors.items() for vec in vecs}
+    return Wtgc(set(final), g.alphabet, final, productions, s)
 
 
 # -- support ----------------------------------------------------------------
@@ -251,28 +301,23 @@ def support_grammar(g: Wtgc) -> Wtgc:
 
 def constraint_determine(g: Wtgc) -> Wtgc:
     """Equivalent WTAc in which no two productions differ only in their
-    constraint sets: the target of each production is annotated with the
-    production's identity and child annotations are expanded."""
+    constraint sets: each production p gets its own target `q#p`, and a
+    child slot for q ranges over the productions with target q.  Only
+    the productions reached bottom-up get a nonterminal."""
     if not classify(g).normalized:
         raise TransformError("constraint determination needs a WTAc")
-    s = g.semiring
-    pairs = [(q, p) for q in sorted(g.nonterminals) for p in g.productions]
-    taken = set(g.alphabet.names())
-    names = {}
-    for q, p in pairs:
-        names[(q, p)] = fresh_name(f"{q}#{g.prod_id(p)}", taken)
-        taken.add(names[(q, p)])
+    names = _Names(g.alphabet, lambda p: f"{p.target}#{g.prod_id(p)}")
     productions = set()
-    for p in g.productions:
-        dec = g.decompose(p)
-        choices = [[names[(state, rho)] for rho in g.productions]
-                   for state in dec.states]
-        for combo in itertools.product(*choices):
-            lhs = Tree(p.lhs.label, [leaf(name) for name in combo])
-            productions.add(Production(lhs, names[(p.target, p)], p.weight,
-                                       p.eq, p.ineq))
-    final = {names[(q, p)]: g.final[q] for q, p in pairs}
-    return Wtgc(set(names.values()), g.alphabet, final, productions, s)
+
+    def fire(p, combo):
+        lhs = Tree(p.lhs.label, [leaf(names[rho]) for rho in combo])
+        productions.add(Production(lhs, names[p], p.weight, p.eq, p.ineq))
+        return ((p.target, p),)
+
+    reached = saturate({p: g.decompose(p).states for p in g.productions},
+                       fire)
+    final = {names[p]: g.final[q] for q, ps in reached.items() for p in ps}
+    return Wtgc(set(final), g.alphabet, final, productions, g.semiring)
 
 
 def disjoint_union(g: Wtgc, g2: Wtgc) -> Wtgc:
@@ -299,37 +344,34 @@ def disjoint_union(g: Wtgc, g2: Wtgc) -> Wtgc:
 def hadamard(g: Wtgc, g2: Wtgc) -> Wtgc:
     """Pointwise semiring product, via the pair construction on
     constraint-determined WTAc (inputs are normalized and determined on
-    demand)."""
+    demand); only the pairs reached bottom-up become nonterminals."""
     _check_compatible(g, g2)
     s = g.semiring
     a = _determined(g)
     b = _determined(g2)
-    pair = {}
-    taken = set(g.alphabet.names())
-    for x in sorted(a.nonterminals):
-        for y in sorted(b.nonterminals):
-            pair[(x, y)] = fresh_name(f"{x}*{y}", taken)
-            taken.add(pair[(x, y)])
-    productions = set()
     by_symbol = {}
     for p2 in b.productions:
         by_symbol.setdefault(p2.lhs.label, []).append(p2)
+    rules = {}
     for p in a.productions:
-        dec = a.decompose(p)
+        states = a.decompose(p).states
         for p2 in by_symbol.get(p.lhs.label, ()):
-            weight = s.mul(p.weight, p2.weight)
-            if weight == s.zero:
-                continue
-            dec2 = b.decompose(p2)
-            lhs = Tree(p.lhs.label,
-                       [leaf(pair[(x, y)])
-                        for x, y in zip(dec.states, dec2.states)])
-            productions.add(Production(lhs, pair[(p.target, p2.target)],
-                                       weight, p.eq | p2.eq,
-                                       p.ineq | p2.ineq))
-    final = {pair[(x, y)]: s.mul(a.final[x], b.final[y])
-             for x in a.nonterminals for y in b.nonterminals}
-    return Wtgc(set(pair.values()), g.alphabet, final, productions, s)
+            if s.mul(p.weight, p2.weight) != s.zero:
+                rules[(p, p2)] = tuple(zip(states, b.decompose(p2).states))
+    names = _Names(g.alphabet, lambda xy: f"{xy[0]}*{xy[1]}")
+    productions = set()
+
+    def fire(rule, _):
+        p, p2 = rule
+        lhs = Tree(p.lhs.label, [leaf(names[xy]) for xy in rules[rule]])
+        xy = (p.target, p2.target)
+        productions.add(Production(lhs, names[xy], s.mul(p.weight, p2.weight),
+                                   p.eq | p2.eq, p.ineq | p2.ineq))
+        return ((xy, True),)
+
+    pairs = saturate(rules, fire)
+    final = {names[x, y]: s.mul(a.final[x], b.final[y]) for x, y in pairs}
+    return Wtgc(set(final), g.alphabet, final, productions, s)
 
 
 def _determined(g: Wtgc) -> Wtgc:
@@ -352,36 +394,22 @@ def _check_compatible(g: Wtgc, g2: Wtgc):
 # -- disambiguation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowersetState:
-    """A total map from the input grammar's nonterminals into the target
-    semiring, stored as values aligned with the sorted nonterminals."""
-
-    values: tuple
-
-    def get(self, order: tuple, q: str):
-        return self.values[order.index(q)]
-
-
-def _state_name(state: PowersetState, order: tuple, target: Semiring) -> str:
+def _state_name(state: tuple, order: tuple, target: Semiring) -> str:
     if target is BOOLEAN or target.name == "boolean":
-        members = [q for q, v in zip(order, state.values) if v == 1]
+        members = [q for q, v in zip(order, state) if v == 1]
         return f"set[{'.'.join(members)}]"
-    inner = ".".join(f"{q}:{target.format(v)}"
-                     for q, v in zip(order, state.values))
+    inner = ".".join(f"{q}:{target.format(v)}" for q, v in zip(order, state))
     return f"phi[{inner}]"
 
 
-def disambiguate(g: Wtgc, hom: SemiringHom, state_cap: int = 1_000_000,
-                 prune_unsat: int | None = None) -> Wtgc:
+def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
     """The powerset WTAc over the homomorphism's finite target.
 
-    States are the reachable vectors of per-nonterminal image weights;
-    for every symbol the constraints appearing on that symbol are split
-    into every (satisfied, dissatisfied) bipartition, which makes the
-    result unambiguous.  All production weights are the target's one.
-    With `prune_unsat` set, splits not satisfiable by any tree of at
-    most that size rooted in the symbol are dropped.
+    States are the reachable vectors of per-nonterminal image weights,
+    aligned with the sorted nonterminals; for every symbol the
+    constraints appearing on that symbol are split into every
+    (satisfied, dissatisfied) bipartition, which makes the result
+    unambiguous.  All production weights are the target's one.
     """
     if not classify(g).normalized:
         raise TransformError("disambiguation needs a WTAc")
@@ -392,89 +420,57 @@ def disambiguate(g: Wtgc, hom: SemiringHom, state_cap: int = 1_000_000,
         raise TransformError(f"{target.name} is not finite")
 
     order = tuple(sorted(g.nonterminals))
+    index = {q: i for i, q in enumerate(order)}
     by_symbol: dict[str, list] = {name: [] for name in g.alphabet.names()}
     collected: dict[str, set] = {name: set() for name in g.alphabet.names()}
     for p in g.productions:
-        by_symbol[p.lhs.label].append((p, g.decompose(p)))
+        by_symbol[p.lhs.label].append(p)
         collected[p.lhs.label].update(p.eq)
         collected[p.lhs.label].update(p.ineq)
-    universe = {name: sorted(pairs) for name, pairs in collected.items()}
 
-    splits = {}
-    for name, pairs in universe.items():
-        options = []
+    # per (symbol, split): for each nonterminal, the image weight and the
+    # child state indices of every production that fires under the split
+    terms = {}
+    for name, rank in g.alphabet.symbols():
+        pairs = sorted(collected[name])
         for chosen in range(1 << len(pairs)):
             eq = frozenset(pairs[i] for i in range(len(pairs))
                            if chosen >> i & 1)
             ineq = frozenset(pairs) - eq
-            if prune_unsat is not None and not _split_satisfiable(
-                    g.alphabet, name, eq, ineq, prune_unsat):
-                continue
-            options.append((eq, ineq))
-        splits[name] = options
-
-    states: dict[PowersetState, str] = {}
-    taken = set(g.alphabet.names())
-
-    def register(state: PowersetState) -> str:
-        if state not in states:
-            if len(states) >= state_cap:
-                raise TransformError(
-                    f"powerset construction exceeded {state_cap} states")
-            states[state] = fresh_name(_state_name(state, order, target),
-                                       taken)
-            taken.add(states[state])
-        return states[state]
-
+            terms[(name, eq, ineq)] = [
+                [(hom(p.weight),
+                  tuple(index[state] for state in g.decompose(p).states))
+                 for p in by_symbol[name]
+                 if p.target == q and p.eq <= eq and p.ineq <= ineq]
+                for q in order]
+    names = _Names(g.alphabet, lambda state: _state_name(state, order, target))
     productions = set()
-    done = set()
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(states, key=states.get)
-        for name, rank in g.alphabet.symbols():
-            for combo in itertools.product(current, repeat=rank):
-                for eq, ineq in splits[name]:
-                    key = (name, combo, eq, ineq)
-                    if key in done:
-                        continue
-                    done.add(key)
-                    changed = True
-                    values = []
-                    for q in order:
-                        total = target.zero
-                        for p, dec in by_symbol[name]:
-                            if p.target != q or not p.eq <= eq \
-                                    or not p.ineq <= ineq:
-                                continue
-                            term = hom(p.weight)
-                            for child, state in zip(combo, dec.states):
-                                term = target.mul(term,
-                                                  child.get(order, state))
-                            total = target.add(total, term)
-                        values.append(total)
-                    result = register(PowersetState(tuple(values)))
-                    lhs = Tree(name, [leaf(states[c]) for c in combo])
-                    productions.add(
-                        Production(lhs, result, target.one, eq, ineq))
+
+    def fire(rule, combo):
+        values = []
+        for alternatives in terms[rule]:
+            total = target.zero
+            for term, slots in alternatives:
+                for child, i in zip(combo, slots):
+                    term = target.mul(term, child[i])
+                total = target.add(total, term)
+            values.append(total)
+        state = tuple(values)
+        name, eq, ineq = rule
+        lhs = Tree(name, [leaf(names[child]) for child in combo])
+        productions.add(
+            Production(lhs, names[state], target.one, eq, ineq))
+        return (("states", state),)
+
+    states = saturate({rule: ("states",) * g.alphabet.rank(rule[0])
+                       for rule in terms}, fire).get("states", ())
     final = {}
-    for state, sname in states.items():
+    for state in states:
         total = target.zero
-        for q in order:
-            total = target.add(
-                total, target.mul(hom(g.final[q]), state.get(order, q)))
-        final[sname] = total
-    return Wtgc(set(states.values()), g.alphabet, final, productions, target)
-
-
-def _split_satisfiable(alphabet, name, eq, ineq, bound) -> bool:
-    for size in range(1, bound + 1):
-        for t in trees_of_size(alphabet, size):
-            if t.label != name:
-                continue
-            if satisfies_all(t, eq) and dissatisfies_all(t, ineq):
-                return True
-    return False
+        for q, v in zip(order, state):
+            total = target.add(total, target.mul(hom(g.final[q]), v))
+        final[names[state]] = total
+    return Wtgc(set(final), g.alphabet, final, productions, target)
 
 
 def support_automaton(g: Wtgc) -> Wtgc:

@@ -47,6 +47,9 @@ def test_apply_rejects_unknown_symbol(fx3_hom):
 
 def test_flags(fx3_hom):
     assert fx3_hom.nondeleting and fx3_hom.nonerasing
+    # the flags are cached on first use; they take no part in equality
+    same = TreeHom(fx3_hom.source, fx3_hom.target, fx3_hom.rhs)
+    assert same == fx3_hom and repr(same) == repr(fx3_hom)
     source = RankedAlphabet({"alpha": 0, "pi": 2})
     target = RankedAlphabet({"alpha": 0, "gamma": 1})
     deleting = TreeHom(source, target,

@@ -1,6 +1,11 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
-from conftest import gammas, t
+from conftest import gammas, random_wtgc, t
+from wtgc import transforms
+from wtgc.decision import productivity
 from wtgc.errors import TransformError
 from wtgc.grammar import (
     Production,
@@ -18,6 +23,7 @@ from wtgc.semantics import (
     state_weight,
 )
 from wtgc.semiring import ARCTIC, BOOLEAN, NATURAL, support_hom
+from wtgc.syntax import parse_grammar
 from wtgc.transforms import (
     boolean_finals,
     complement_support,
@@ -29,6 +35,7 @@ from wtgc.transforms import (
     normalize,
     relabel,
     restrict_support,
+    saturate,
     support_automaton,
     support_grammar,
 )
@@ -44,6 +51,45 @@ def assert_equivalent(g, h, size):
 
 def prods(g):
     return {production_str(p, g.semiring) for p in g.productions}
+
+
+# -- saturation ------------------------------------------------------------
+
+
+def test_saturate_fires_each_combination_once():
+    # "pair" draws both slots from one pool; "b" gets its one value only
+    # after "a" is complete, so "late" fires late; "leaves" and "again"
+    # have no slots, and both derive the value 1
+    rules = {"leaves": (), "again": (), "pair": ("a", "a"), "step": ("a",),
+             "late": ("b", "a")}
+    derive = {
+        "leaves": lambda combo: [("a", 0), ("a", 1)],
+        "again": lambda combo: [("a", 1)],
+        "pair": lambda combo: [("a", (combo[0] + combo[1]) % 3)],
+        "step": lambda combo: [("b", "x")] if combo == (2,) else [],
+        "late": lambda combo: [],
+    }
+    calls = []
+
+    def fire(rule, combo):
+        calls.append((rule, combo))
+        return derive[rule](combo)
+
+    pools = saturate(rules, fire)
+    assert pools == {"a": [0, 1, 2], "b": ["x"]}
+    expected = [(rule, combo) for rule, slots in rules.items()
+                for combo in product(*(pools[key] for key in slots))]
+    assert Counter(calls) == Counter(expected)
+
+
+def test_constructions_stop_at_the_state_cap(monkeypatch, fx6, fx2_union):
+    monkeypatch.setattr(transforms, "STATE_CAP", 1)
+    builds = (lambda: eliminate_zero_derivations(fx6),
+              lambda: hadamard(fx6, fx6),
+              lambda: disambiguate(fx2_union, support_hom(ARCTIC)))
+    for build in builds:
+        with pytest.raises(TransformError, match="exceeded 1 states"):
+            build()
 
 
 # -- normalize ---------------------------------------------------------------
@@ -172,6 +218,26 @@ def test_constraint_determine_splits_twins():
     out = constraint_determine(twins)
     assert classify(out).constraint_determined
     assert_equivalent(twins, out, 7)
+
+
+def test_constraint_determine_builds_only_reached_productions(fx1):
+    # the parent construction made one nonterminal per (q, production)
+    # pair: 12 nonterminals and 25 productions
+    out = constraint_determine(normalize(fx1))
+    assert (len(out.nonterminals), len(out.productions)) == (4, 7)
+
+
+def test_determine_and_product_random():
+    for seed in range(30):
+        g = normalize(random_wtgc(seed))
+        determined = constraint_determine(g)
+        square = hadamard(g, g)
+        for out in (determined, square):
+            assert out.nonterminals <= productivity(out).productive
+        for tree in enumerate_trees(g.alphabet, 6):
+            weight = evaluate(g, tree)
+            assert evaluate(determined, tree) == weight, (seed, tree)
+            assert evaluate(square, tree) == g.semiring.mul(weight, weight)
 
 
 def test_constraint_determine_rejects_unnormalized(fx1):
@@ -336,22 +402,21 @@ def test_disambiguate_rejects_infinite_target(fx2_union):
 
 def test_disambiguate_identity_over_finite_semiring(fx6):
     # over a finite semiring the identity map yields an equivalent
-    # unambiguous automaton
+    # unambiguous automaton; `deep` constrains positions two levels
+    # below its children, which only trees of size 7 and more satisfy
     from wtgc.semiring import identity_hom
 
-    out = disambiguate(fx6, identity_hom(fx6.semiring))
-    assert check_unambiguous_upto(out, 7) is None
-    for tree in enumerate_trees(fx6.alphabet, 7):
-        assert evaluate(out, tree) == evaluate(fx6, tree)
-
-
-def test_disambiguate_prune_unsat(fx2_union):
-    pruned = disambiguate(fx2_union, support_hom(ARCTIC), prune_unsat=5)
-    full = disambiguate(fx2_union, support_hom(ARCTIC))
-    # pruning may only drop productions, never change the semantics
-    assert prods(pruned) <= prods(full)
-    for tree in enumerate_trees(fx2_union.alphabet, 6):
-        assert evaluate(pruned, tree) == evaluate(full, tree)
+    deep = parse_grammar(
+        "semiring boolean\nalphabet alpha:0 gamma:1 sigma:2\n"
+        "nonterminals q r\nfinal r = 1\nprod alpha -> q @ 1\n"
+        "prod gamma(q) -> q @ 1\n"
+        "prod sigma(q,q) -> r [eq 1.1.1=2.1.1] @ 1\n")
+    for g in (fx6, deep):
+        out = disambiguate(g, identity_hom(g.semiring))
+        assert check_unambiguous_upto(out, 7) is None
+        for tree in enumerate_trees(g.alphabet, 7):
+            assert evaluate(out, tree) == evaluate(g, tree)
+    assert evaluate(out, t("sigma", gammas(2, ALPHA), gammas(2, ALPHA))) == 1
 
 
 # -- support automaton, complement, restriction ------------------------------
