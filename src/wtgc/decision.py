@@ -111,36 +111,39 @@ def finiteness_analysis(g: Wtgc) -> tuple[bool, str]:
             elif state in useful:
                 edges.setdefault(state, set()).add(p.target)
 
+    # depth-first search in sorted order with an explicit stack: `path`
+    # holds the grey nodes, `todo` their unexplored successors
     color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def find_cycle(q: str):
-        color[q] = 1
-        stack.append(q)
-        for nxt in sorted(edges.get(q, ())):
-            c = color.get(nxt)
-            if c == 1:
-                return stack[stack.index(nxt):] + [nxt]
-            if c is None:
-                found = find_cycle(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[q] = 2
-        return None
-
-    for q in sorted(useful - {sink}):
-        if q not in color:
-            cycle = find_cycle(q)
-            if cycle:
-                return False, "cycle: " + " -> ".join(cycle)
+    for root in sorted(useful - {sink}):
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        todo = [iter(sorted(edges.get(root, ())))]
+        while todo:
+            for nxt in todo[-1]:
+                c = color.get(nxt)
+                if c == 1:
+                    cycle = path[path.index(nxt):] + [nxt]
+                    return False, "cycle: " + " -> ".join(cycle)
+                if c is None:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    todo.append(iter(sorted(edges.get(nxt, ()))))
+                    break
+            else:
+                todo.pop()
+                color[path.pop()] = 2
     return True, "no productive cycle"
 
 
 def enumerate_support(g: Wtgc, max_size: int) -> list:
     """All trees of size at most max_size with nonzero weight, in
-    canonical order; the brute-force oracle for both decisions."""
+    canonical order; the brute-force oracle for both decisions.
+
+    The enumeration is weighed in one batch, in which each tree reuses
+    its children's vectors."""
     zero = g.semiring.zero
-    evaluate = weight_map(g).evaluate
-    return [t for t in enumerate_trees(g.alphabet, max_size)
-            if evaluate(t) != zero]
+    trees = list(enumerate_trees(g.alphabet, max_size))
+    weights = weight_map(g).evaluate_all(trees)
+    return [t for t, w in zip(trees, weights) if w != zero]

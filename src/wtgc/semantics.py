@@ -17,19 +17,25 @@ below the children or carries constraints, a node's vector depends on
 its children's vectors alone and is memoized on them.
 
 `evaluate` and `state_weight` read the vector of the root; the root
-object itself is not remembered.  `derivations` enumerates the complete
-left-most derivations with the same compiled matcher and ids: the
-alternatives at each (nonterminal, id) are memoized with their counts,
-and each derivation is spelled out once with absolute positions.  Over
-a zero-sum free, zero-divisor free semiring a zero weight already rules
-a derivation out.  Summing derivation weights must agree with the weight
-map, which the test suite uses as the master oracle.
+object itself is not remembered.  `WeightMap.evaluate_all` weighs a
+whole sequence under one lock, and `decision.enumerate_support` runs it
+over the canonical enumeration: a tree whose children came earlier in
+the batch looks its vector up on theirs, without interning.
+
+`derivations` enumerates the complete left-most derivations with the
+same compiled matcher and ids: the alternatives at each (nonterminal,
+id) are memoized with their counts, and each derivation is spelled out
+once with absolute positions.  Over a zero-sum free, zero-divisor free
+semiring a zero weight already rules a derivation out.  Summing
+derivation weights must agree with the weight map, which the test suite
+uses as the master oracle.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import GrammarError
 from .grammar import Production, Wtgc
@@ -410,17 +416,61 @@ class WeightMap:
                 return x
         return self.semiring.zero
 
-    def evaluate(self, t: Tree):
+    def _total(self, vec: tuple):
+        """The final weighting of a vector: the sum of F_q * wt_q."""
         s = self.semiring
         total = s.zero
-        with self._lock:
-            vec = self._root_vector(t)
         for q, f in self.finals:
             for r, x in vec:
                 if r == q:
                     total = s.add(total, s.mul(f, x))
                     break
         return total
+
+    def evaluate(self, t: Tree):
+        with self._lock:
+            vec = self._root_vector(t)
+        return self._total(vec)
+
+    def evaluate_all(self, trees) -> list:
+        """The weights of many trees, in order, under one lock.
+
+        A tree whose children came earlier in the same call and whose
+        bucket is plain costs one memo lookup on its children's vectors,
+        with no interning; every other tree, and every memo miss, goes
+        through `_root_vector`.  Over the canonical enumeration each tree
+        but a leaf has its children earlier.  The final weighting is
+        computed once per distinct vector.
+        """
+        # the list keeps every tree alive and `kept` every vector met, so
+        # the ids memoized below stay valid even when `trees` yields
+        # temporaries
+        trees = list(trees)
+        # a tree of the largest size is nobody's child in this call
+        largest = max(map(attrgetter("size"), trees), default=0)
+        vector_ids: dict = {}  # id(tree) -> id(its vector)
+        totals: dict = {}      # id(vector) -> its final weighting
+        kept, out = [], []
+        get, buckets = vector_ids.get, self._buckets
+        with self._lock:
+            for t in trees:
+                key = tuple(map(get, map(id, t.children)))
+                bucket = buckets.get((t.label, len(key)))
+                vec = None
+                # only plain buckets fill their memo
+                if bucket is not None and None not in key:
+                    vec = bucket.memo.get(key)
+                if vec is None:
+                    vec = self._root_vector(t)
+                v = id(vec)
+                if t.size < largest:
+                    vector_ids[id(t)] = v
+                total = totals.get(v)
+                if total is None:
+                    total = totals[v] = self._total(vec)
+                    kept.append(vec)
+                out.append(total)
+        return out
 
     # -- derivations ------------------------------------------------------------
 

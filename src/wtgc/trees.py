@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import threading
 
 from .errors import InvalidPositionError, TreeError
 
@@ -266,25 +267,33 @@ def _compositions(total: int, parts: int):
 
 
 _ENUM_CACHE: dict[RankedAlphabet, list] = {}
+_ENUM_LOCK = threading.Lock()
 
 
 def trees_of_size(alphabet: RankedAlphabet, size: int) -> tuple[Tree, ...]:
     """All trees over the alphabet with exactly `size` nodes, sorted by
-    their serialized form."""
-    buckets = _ENUM_CACHE.setdefault(alphabet, [()])
-    while len(buckets) <= size:
-        n = len(buckets)
-        bucket = []
-        for name, rank in alphabet.symbols():
-            if rank == 0:
-                if n == 1:
-                    bucket.append(Tree(name))
-                continue
-            for split in _compositions(n - 1, rank):
-                for combo in itertools.product(*(buckets[s] for s in split)):
-                    bucket.append(Tree(name, combo))
-        bucket.sort(key=term_str)
-        buckets.append(tuple(bucket))
+    their serialized form.
+
+    The buckets are cached per alphabet and shared: a tree of size n is
+    built from the very objects of the smaller buckets.  The lock keeps
+    threads that extend one alphabet's list from appending a bucket twice.
+    """
+    with _ENUM_LOCK:
+        buckets = _ENUM_CACHE.setdefault(alphabet, [()])
+        while len(buckets) <= size:
+            n = len(buckets)
+            bucket = []
+            for name, rank in alphabet.symbols():
+                if rank == 0:
+                    if n == 1:
+                        bucket.append(Tree(name))
+                    continue
+                for split in _compositions(n - 1, rank):
+                    for combo in itertools.product(
+                            *(buckets[s] for s in split)):
+                        bucket.append(Tree(name, combo))
+            bucket.sort(key=term_str)
+            buckets.append(tuple(bucket))
     return buckets[size]
 
 

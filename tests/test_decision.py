@@ -164,3 +164,28 @@ def test_random_grammars_sample_agreement():
             assert not tall
         else:
             assert tall
+
+
+def _gamma_chain(n, closed):
+    """alpha -> q0 and gamma(q_i) -> q_(i+1) up to the final q_(n-1);
+    `closed` adds gamma(q_(n-1)) -> q0."""
+    alphabet = RankedAlphabet({"alpha": 0, "gamma": 1})
+    states = [f"q{i}" for i in range(n)]
+    prods = [Production(ALPHA, "q0", 1)]
+    prods += [Production(t("gamma", leaf(a)), b, 1)
+              for a, b in zip(states, states[1:])]
+    if closed:
+        prods.append(Production(t("gamma", leaf(states[-1])), "q0", 1))
+    return sinkful(states, alphabet, {states[-1]: 1}, prods), states
+
+
+def test_finiteness_of_a_long_chain_needs_no_recursion():
+    from wtgc.decision import finiteness_analysis
+
+    chain, _ = _gamma_chain(1500, closed=False)
+    assert is_support_empty(chain) is False
+    assert finiteness_analysis(chain) == (True, "no productive cycle")
+    loop, states = _gamma_chain(1500, closed=True)
+    # zero elimination names each nonterminal q#[...] after its vector
+    assert finiteness_analysis(loop) == (
+        False, "cycle: " + " -> ".join(f"{q}#[]" for q in states + ["q0"]))

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from wtgc.trees import (
     substitute,
     subtree,
     term_str,
+    trees_of_size,
     yield_of,
 )
 
@@ -196,3 +200,33 @@ def test_enumerate_trees_canonical():
         per_size.setdefault(x.size, []).append(term_str(x))
     for bucket in per_size.values():
         assert bucket == sorted(bucket)
+
+
+def test_enumeration_cache_is_thread_safe():
+    # threads that extend one alphabet's cache at once must neither skip
+    # nor repeat a bucket: bucket n holds exactly the trees of size n
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):
+            # a fresh alphabet each round, so the cache starts empty
+            alphabet = RankedAlphabet({f"a{round_}": 0, "g": 1, "f": 2})
+            errors = []
+
+            def work():
+                try:
+                    list(enumerate_trees(alphabet, 7))
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not errors and not any(th.is_alive() for th in threads)
+            for n in range(1, 8):
+                bucket = trees_of_size(alphabet, n)
+                assert bucket and all(x.size == n for x in bucket), n
+    finally:
+        sys.setswitchinterval(old)
