@@ -24,7 +24,6 @@ from .trees import (
     pos_str,
     term_str,
     valid_name,
-    variable,
 )
 
 
@@ -63,12 +62,14 @@ class Production:
 
 @dataclass(frozen=True)
 class DecomposedLhs:
-    """The unique splitting lhs = c[q1...qk] with variables x1..xk at the
-    nonterminal positions, in left-to-right order."""
+    """The unique splitting lhs = c[q1...qk]: the nonterminal leaves q1..qk
+    with their positions, left to right, and (position, label, arity) of
+    every other node of the context c below its root, in pre-order.  An
+    lhs is normalized, sigma(q1...qk), exactly when `checks` is empty."""
 
-    context: Tree
     states: tuple[str, ...]
     positions: tuple[Position, ...]
+    checks: tuple[tuple[Position, str, int], ...]
 
 
 def production_str(p: Production, semiring: Semiring) -> str:
@@ -100,7 +101,7 @@ class Wtgc:
                  "_weights")
 
     def __init__(self, nonterminals, alphabet: RankedAlphabet, final,
-                 productions, semiring: Semiring, check: bool = True):
+                 productions, semiring: Semiring):
         self.nonterminals = frozenset(nonterminals)
         self.alphabet = alphabet
         self.semiring = semiring
@@ -112,10 +113,9 @@ class Wtgc:
         self._decompositions = {}
         self._final_support = None
         self._weights = None
-        if check:
-            problems = validate(self)
-            if problems:
-                raise GrammarError("; ".join(problems))
+        problems = validate(self)
+        if problems:
+            raise GrammarError("; ".join(problems))
 
     # -- identity ---------------------------------------------------------
 
@@ -159,20 +159,22 @@ class Wtgc:
 
 
 def decompose(p: Production, nonterminals) -> DecomposedLhs:
-    states = []
-    pos = []
-
-    def walk(node, prefix):
-        if node.label in nonterminals and not node.children:
-            states.append(node.label)
-            pos.append(prefix)
-            return leaf(variable(len(states)))
-        return Tree(node.label,
-                    [walk(c, prefix + (i,))
-                     for i, c in enumerate(node.children, start=1)])
-
-    context = walk(p.lhs, ())
-    return DecomposedLhs(context, tuple(states), tuple(pos))
+    """Split the lhs below its root, walking in pre-order with an explicit
+    stack; a well-formed lhs has a symbol at the root."""
+    states, positions, checks = [], [], []
+    stack = [(p.lhs, ())]
+    while stack:
+        node, w = stack.pop()
+        kids = node.children
+        if w:
+            if not kids and node.label in nonterminals:
+                states.append(node.label)
+                positions.append(w)
+                continue
+            checks.append((w, node.label, len(kids)))
+        for i in range(len(kids), 0, -1):
+            stack.append((kids[i - 1], w + (i,)))
+    return DecomposedLhs(tuple(states), tuple(positions), tuple(checks))
 
 
 def validate(g: Wtgc) -> list[str]:
@@ -227,13 +229,6 @@ class Classification:
     constraint_determined: bool
 
 
-def _is_normalized(p: Production, nonterminals) -> bool:
-    if p.lhs.label in nonterminals:
-        return False
-    return all(c.label in nonterminals and not c.children
-               for c in p.lhs.children)
-
-
 def _is_classic(g: Wtgc, p: Production) -> bool:
     nt_positions = set(g.decompose(p).positions)
     return p.constrained_positions() <= nt_positions
@@ -245,8 +240,7 @@ def classify(g: Wtgc) -> Classification:
     for p in g.productions:
         by_shape.setdefault((p.lhs, p.target), set()).add((p.eq, p.ineq))
     return Classification(
-        normalized=all(_is_normalized(p, g.nonterminals)
-                       for p in g.productions),
+        normalized=all(not g.decompose(p).checks for p in g.productions),
         positive=all(not p.ineq for p in g.productions),
         classic=all(_is_classic(g, p) for p in g.productions),
         unconstrained=all(not p.eq and not p.ineq for p in g.productions),
@@ -300,18 +294,20 @@ class EqRestriction:
     governing: dict
 
 
+def sink_productions(alphabet: RankedAlphabet, q: str, one) -> set:
+    """sigma(q, ..., q) -> q with weight `one` for every symbol sigma:
+    the productions of a sink q deriving every tree exactly once."""
+    return {Production(Tree(name, [leaf(q)] * rank), q, one)
+            for name, rank in alphabet.symbols()}
+
+
 def _sink_candidates(g: Wtgc):
-    one = g.semiring.one
     zero = g.semiring.zero
     for q in sorted(g.nonterminals):
         if g.final[q] != zero:
             continue
-        expected = {
-            Production(Tree(name, [leaf(q)] * rank), q, one)
-            for name, rank in g.alphabet.symbols()
-        }
         actual = {p for p in g.productions if p.target == q}
-        if expected == actual:
+        if actual == sink_productions(g.alphabet, q, g.semiring.one):
             yield q
 
 
@@ -356,8 +352,19 @@ def eq_restriction(g: Wtgc):
     return None
 
 
-def fresh_name(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "'"
-    return name
+class Names(dict):
+    """Fresh names, spelled on first lookup by `spell(key)` and primed
+    until they avoid the names taken at construction and each other."""
+
+    def __init__(self, taken, spell=str):
+        super().__init__()
+        self.taken = set(taken)
+        self.spell = spell
+
+    def __missing__(self, key):
+        name = self.spell(key)
+        while name in self.taken:
+            name += "'"
+        self.taken.add(name)
+        self[key] = name
+        return name

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import HomomorphismError
-from .grammar import Production, Wtgc, classify
+from .grammar import Names, Production, Wtgc, classify, sink_productions
 from .transforms import relabel
 from .trees import (
     RankedAlphabet,
@@ -181,11 +181,9 @@ def hom_image_stage_one(g: Wtgc, h: TreeHom) -> Wtgc:
         for p in g.productions:
             symbols[annotated_symbol(name, g.prod_id(p))] = rank
     alphabet = RankedAlphabet(symbols)
-    bot = "bot"
-    while bot in g.nonterminals or bot in alphabet:
-        bot += "'"
+    bot = Names(set(g.nonterminals) | set(alphabet.names()))["bot"]
 
-    productions = set()
+    productions = sink_productions(alphabet, bot, s.one)
     for p in g.productions:
         dec = g.decompose(p)
         u = h.rhs[p.lhs.label]
@@ -206,9 +204,6 @@ def hom_image_stage_one(g: Wtgc, h: TreeHom) -> Wtgc:
         root = annotated_symbol(u.label, g.prod_id(p))
         productions.add(Production(Tree(root, body.children), p.target,
                                    p.weight, constraints))
-    for name, rank in alphabet.symbols():
-        productions.add(Production(Tree(name, [leaf(bot)] * rank), bot,
-                                   s.one))
     final = dict(g.final)
     final[bot] = s.zero
     return Wtgc(set(g.nonterminals) | {bot}, alphabet, final, productions, s)

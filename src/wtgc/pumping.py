@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PumpError
-from .grammar import Production, Wtgc, eq_restriction, fresh_name
+from .grammar import (
+    Names,
+    Production,
+    Wtgc,
+    eq_restriction,
+    sink_productions,
+)
 from .semantics import (
     Derivation,
     derivation_weight,
@@ -143,15 +149,12 @@ def ensure_nonbot_child(g: Wtgc) -> Wtgc:
     if not offenders:
         return g
     s = g.semiring
-    top = fresh_name("top", set(g.nonterminals) | set(g.alphabet.names()))
-    productions = set(g.productions)
+    top = Names(set(g.nonterminals) | set(g.alphabet.names()))["top"]
+    productions = set(g.productions) - set(offenders)
+    productions |= sink_productions(g.alphabet, top, s.one)
     for p in offenders:
-        productions.remove(p)
         lhs = replace(p.lhs, {g.decompose(p).positions[0]: leaf(top)})
         productions.add(Production(lhs, p.target, p.weight, p.eq, p.ineq))
-    for name, rank in g.alphabet.symbols():
-        productions.add(Production(Tree(name, [leaf(top)] * rank), top,
-                                   s.one))
     final = dict(g.final)
     final[top] = s.zero
     return Wtgc(set(g.nonterminals) | {top}, g.alphabet, final, productions,

@@ -9,9 +9,11 @@ trees need no recursion, and DAG-shaped inputs cost only their distinct
 objects.  Per id the map stores the sparse vector of nonzero state
 weights, the initial-algebra weight map, with equal vectors stored once.
 
-Each left-hand side is compiled once into flat path checks, indexed by
-root label and arity and then by its first nonterminal leaf, so a node
-only tries the productions whose first leaf has a nonzero weight there.
+Each left-hand side is compiled once from the grammar's decomposition
+(`grammar.decompose`, with the paper's 1-based positions) into flat
+position checks, indexed by root label and arity and then by its first
+nonterminal leaf, so a node only tries the productions whose first leaf
+has a nonzero weight there.
 Constraint pairs compare ids.  Where no production of a label looks
 below the children or carries constraints, a node's vector depends on
 its children's vectors alone and is memoized on them.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import GrammarError
-from .grammar import Production, Wtgc
+from .grammar import Production, Wtgc, decompose
 from .trees import (
     Position,
     Tree,
@@ -74,83 +76,37 @@ class Derivation:
 
 
 class _Plan:
-    """One production's left-hand side compiled into flat path checks.
+    """One production's left-hand side compiled into flat position checks.
 
-    The root label and arity are the key the plan is indexed by.
-    `checks` holds (path, label, arity) for every inner lhs node below
-    the root in pre-order; `states`, `paths` and `positions` describe the
-    nonterminal leaves left to right (paths 0-based, for navigation;
-    positions 1-based, for derivation steps); `eq` and `ne` are the
-    constraint pairs as 0-based paths.  `guarded` is false when there is
-    nothing to check beyond the root, `flat` when every child of the root
-    is a nonterminal leaf, and `rest` pairs every leaf after the first
-    with its path, or with its child index when `flat`.
+    The plan reads the grammar's decomposition of the lhs, in 1-based
+    positions.  The root label and arity are the key the plan is indexed
+    by.  `checks` holds (position, label, arity) for every other lhs node
+    below the root in pre-order; `states` and `positions` describe the
+    nonterminal leaves left to right; `eq` and `ne` are the sorted
+    constraint pairs.  `guarded` is false when there is nothing to check
+    beyond the root, `flat` when the lhs is normalized (no checks: every
+    child of the root is a nonterminal leaf), and `rest` pairs every leaf
+    after the first with its position, or with its 0-based child index
+    when `flat`.
     """
 
     __slots__ = ("production", "target", "weight", "checks", "states",
-                 "paths", "positions", "eq", "ne", "guarded", "flat", "rest")
+                 "positions", "eq", "ne", "guarded", "flat", "rest")
 
     def __init__(self, p: Production, nonterminals):
-        kids = p.lhs.children
-        states = tuple(c.label for c in kids)
-        self.flat = all(not c.children and q in nonterminals
-                        for c, q in zip(kids, states))
-        if self.flat:
-            # the normalized shape f(q1, ..., qk): nothing below the root
-            # to check, and the leaf paths are shared per arity
-            checks = ()
-            paths, self.positions = _flat_paths(len(kids))
-        else:
-            checks, states, paths = _walk_lhs(p.lhs, nonterminals)
-            self.positions = tuple(tuple(i + 1 for i in path)
-                                   for path in paths)
+        dec = decompose(p, nonterminals)
         self.production = p
         self.target = p.target
         self.weight = p.weight
-        self.checks = checks
-        self.states = states
-        self.paths = paths
-        self.eq = _zero_based(p.eq)
-        self.ne = _zero_based(p.ineq)
-        self.guarded = bool(checks or self.eq or self.ne)
-        self.rest = tuple(zip(states[1:], (path[0] if self.flat else path
-                                           for path in paths[1:])))
-
-
-_FLAT_PATHS: dict = {}
-
-
-def _flat_paths(k: int) -> tuple:
-    """The 0-based paths and 1-based positions of k children."""
-    shape = _FLAT_PATHS.get(k)
-    if shape is None:
-        shape = _FLAT_PATHS[k] = (tuple((i,) for i in range(k)),
-                                  tuple((i + 1,) for i in range(k)))
-    return shape
-
-
-def _walk_lhs(lhs: Tree, nonterminals) -> tuple:
-    """Shape checks and nonterminal leaves of a left-hand side below its
-    root, in pre-order."""
-    checks, states, paths = [], [], []
-    stack = [(c, (i,)) for i, c in reversed(tuple(enumerate(lhs.children)))]
-    while stack:
-        node, path = stack.pop()
-        if not node.children and node.label in nonterminals:
-            states.append(node.label)
-            paths.append(path)
-            continue
-        checks.append((path, node.label, len(node.children)))
-        stack.extend((c, path + (i,))
-                     for i, c in reversed(tuple(enumerate(node.children))))
-    return tuple(checks), tuple(states), tuple(paths)
-
-
-def _zero_based(pairs) -> tuple:
-    if not pairs:
-        return ()
-    return tuple((tuple(i - 1 for i in v), tuple(i - 1 for i in w))
-                 for v, w in sorted(pairs))
+        self.checks = dec.checks
+        self.states = dec.states
+        self.positions = dec.positions
+        self.flat = not dec.checks
+        self.eq = tuple(sorted(p.eq))
+        self.ne = tuple(sorted(p.ineq))
+        self.guarded = bool(dec.checks or self.eq or self.ne)
+        self.rest = tuple(zip(dec.states[1:], (
+            w[0] - 1 if self.flat else w for w in dec.positions[1:])))
 
 
 class _Bucket:
@@ -158,12 +114,12 @@ class _Bucket:
 
     `stateless` and `by_first` index the plans for the weight map: a plan
     with nonterminal leaves can only contribute where its first leaf has
-    a nonzero weight, so it is found from that leaf's path (with the
-    child index when the path has length one) and state.  `by_target`
-    keeps production order for derivation enumeration.  A bucket is
-    `plain` when no plan looks past the children or checks constraints;
-    a node's vector then depends on its children's vectors alone, and
-    `memo` maps the identities of those vectors to it.
+    a nonzero weight, so it is found from that leaf's position (with the
+    0-based child index when the position has length one) and state.
+    `by_target` keeps production order for derivation enumeration.  A
+    bucket is `plain` when no plan looks past the children or checks
+    constraints; a node's vector then depends on its children's vectors
+    alone, and `memo` maps the identities of those vectors to it.
     """
 
     __slots__ = ("stateless", "by_first", "by_target", "plain", "memo")
@@ -177,33 +133,33 @@ class _Bucket:
         for plan in plans:
             self.by_target.setdefault(plan.target, []).append(plan)
             if plan.states:
-                by_first.setdefault(plan.paths[0], {}).setdefault(
+                by_first.setdefault(plan.positions[0], {}).setdefault(
                     plan.states[0], []).append(plan)
             else:
                 self.stateless.append(plan)
         self.by_first = tuple(
-            (path, path[0] if len(path) == 1 else None, by_state)
-            for path, by_state in by_first.items())
+            (w, w[0] - 1 if len(w) == 1 else None, by_state)
+            for w, by_state in by_first.items())
 
 
 # the memo entry of a (nonterminal, id) pair without derivations
 _UNDERIVABLE = (0, ())
 
 
-def _at(keys, ch, me, path):
-    """The id at a 0-based path below a node with child ids `ch` and
-    id `me`, or None if the path leaves the tree."""
-    if not path:
+def _at(keys, ch, me, w):
+    """The id at position w below a node with child ids `ch` and id
+    `me`, or None if w leaves the tree."""
+    if not w:
         return me
-    i = path[0]
-    if i >= len(ch):
+    i = w[0]
+    if i > len(ch):
         return None
-    c = ch[i]
-    for i in path[1:]:
+    c = ch[i - 1]
+    for i in w[1:]:
         kids = keys[c][1]
-        if i >= len(kids):
+        if i > len(kids):
             return None
-        c = kids[i]
+        c = kids[i - 1]
     return c
 
 
@@ -298,8 +254,8 @@ class WeightMap:
     def _fits(self, plan: _Plan, ch, me) -> bool:
         """Shape checks below the root and the constraint pairs."""
         keys = self.keys
-        for path, label, arity in plan.checks:
-            c = _at(keys, ch, me, path)
+        for w, label, arity in plan.checks:
+            c = _at(keys, ch, me, w)
             if c is None:
                 return False
             key = keys[c]
@@ -481,7 +437,7 @@ class WeightMap:
         label, ch = keys[c]
         plans = self._bucket(label, len(ch)).by_target.get(q, ())
         return [(plan, ch if plan.flat else
-                 tuple(_at(keys, ch, c, path) for path in plan.paths))
+                 tuple(_at(keys, ch, c, w) for w in plan.positions))
                 for plan in plans
                 if not plan.guarded or self._fits(plan, ch, c)]
 

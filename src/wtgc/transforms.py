@@ -23,11 +23,12 @@ from itertools import product
 
 from .errors import TransformError
 from .grammar import (
+    Names,
     Production,
     Wtgc,
     classify,
     eq_restriction,
-    fresh_name,
+    sink_productions,
 )
 from .semiring import BOOLEAN, Semiring, SemiringHom, support_hom
 from .trees import (
@@ -48,21 +49,6 @@ def _mangle(t: Tree) -> str:
     """Serialized tree as a nonterminal-safe name."""
     return (term_str(t).replace("(", "[").replace(")", "]")
             .replace(",", ";"))
-
-
-class _Names(dict):
-    """Fresh nonterminal names, spelled on first lookup by `spell(key)`
-    and kept apart from the alphabet's symbols and from each other."""
-
-    def __init__(self, alphabet: RankedAlphabet, spell):
-        super().__init__()
-        self.taken = set(alphabet.names())
-        self.spell = spell
-
-    def __missing__(self, key):
-        name = self[key] = fresh_name(self.spell(key), self.taken)
-        self.taken.add(name)
-        return name
 
 
 # -- bottom-up saturation ----------------------------------------------------
@@ -131,19 +117,8 @@ def normalize(g: Wtgc) -> Wtgc:
         return g
     s = g.semiring
     nonterminals = set(g.nonterminals)
-    final = dict(g.final)
     productions = set(g.productions)
-    names: dict[Tree, str] = {}
-    taken = nonterminals | set(g.alphabet.names())
-
-    def abbreviation(sub: Tree) -> str:
-        if sub not in names:
-            name = fresh_name(_mangle(sub), taken)
-            names[sub] = name
-            taken.add(name)
-            nonterminals.add(name)
-            final[name] = s.zero
-        return names[sub]
+    names = Names(nonterminals | set(g.alphabet.names()), _mangle)
 
     while True:
         worklist = sorted(
@@ -159,26 +134,23 @@ def normalize(g: Wtgc) -> Wtgc:
             if sub.label in nonterminals and not sub.children:
                 children.append(sub)
                 continue
-            name = abbreviation(sub)
+            name = names[sub]
+            nonterminals.add(name)
             productions.add(Production(sub, name, s.one))
             children.append(leaf(name))
         productions.remove(p)
         productions.add(Production(Tree(p.lhs.label, children), p.target,
                                    p.weight, p.eq, p.ineq))
-    return Wtgc(nonterminals, g.alphabet, final, productions, s)
+    return Wtgc(nonterminals, g.alphabet, g.final, productions, s)
 
 
 def boolean_finals(g: Wtgc) -> Wtgc:
     """Equivalent grammar with final weights in {0, 1}: accepting copies
     of the final-supported nonterminals pre-apply the final weight."""
     s = g.semiring
-    nonterminals = set(g.nonterminals)
-    taken = nonterminals | set(g.alphabet.names())
-    copies = {}
-    for q in g.final_support():
-        copies[q] = fresh_name(q + "#f", taken)
-        taken.add(copies[q])
-        nonterminals.add(copies[q])
+    names = Names(set(g.nonterminals) | set(g.alphabet.names()),
+                  lambda q: q + "#f")
+    copies = {q: names[q] for q in g.final_support()}
     productions = set(g.productions)
     for p in g.productions:
         if p.target in copies:
@@ -188,7 +160,7 @@ def boolean_finals(g: Wtgc) -> Wtgc:
                                            p.eq, p.ineq))
     final = {q: s.zero for q in g.nonterminals}
     final.update({c: s.one for c in copies.values()})
-    return Wtgc(nonterminals, g.alphabet, final, productions, s)
+    return Wtgc(set(final), g.alphabet, final, productions, s)
 
 
 # -- elimination of zero-weight derivations --------------------------------
@@ -255,7 +227,7 @@ def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
             value_cache[vec] = value(vec)
         return value_cache[vec] != s.zero
 
-    names = _Names(g.alphabet, lambda key: (
+    names = Names(g.alphabet.names(), lambda key: (
         f"{key[0]}#[{'.'.join(str(e) for e in key[1].exponents)}]"))
     decs = {p: g.decompose(p) for p in g.productions}
     productions = set()
@@ -306,7 +278,8 @@ def constraint_determine(g: Wtgc) -> Wtgc:
     the productions reached bottom-up get a nonterminal."""
     if not classify(g).normalized:
         raise TransformError("constraint determination needs a WTAc")
-    names = _Names(g.alphabet, lambda p: f"{p.target}#{g.prod_id(p)}")
+    names = Names(g.alphabet.names(),
+                  lambda p: f"{p.target}#{g.prod_id(p)}")
     productions = set()
 
     def fire(p, combo):
@@ -324,21 +297,15 @@ def disjoint_union(g: Wtgc, g2: Wtgc) -> Wtgc:
     """Pointwise semiring sum of the two weighted tree languages."""
     _check_compatible(g, g2)
     s = g.semiring
-    rename = {}
-    nonterminals = set(g.nonterminals)
-    taken = nonterminals | set(g.alphabet.names())
-    for q in sorted(g2.nonterminals):
-        rename[q] = fresh_name(q, taken)
-        taken.add(rename[q])
-        nonterminals.add(rename[q])
-    leaves = {q: leaf(name) for q, name in rename.items()}
+    rename = Names(set(g.nonterminals) | set(g.alphabet.names()))
+    leaves = {q: leaf(rename[q]) for q in sorted(g2.nonterminals)}
     productions = set(g.productions)
     for p in g2.productions:
         productions.add(Production(substitute(p.lhs, leaves),
                                    rename[p.target], p.weight, p.eq, p.ineq))
     final = dict(g.final)
     final.update({rename[q]: w for q, w in g2.final.items()})
-    return Wtgc(nonterminals, g.alphabet, final, productions, s)
+    return Wtgc(set(final), g.alphabet, final, productions, s)
 
 
 def hadamard(g: Wtgc, g2: Wtgc) -> Wtgc:
@@ -358,7 +325,7 @@ def hadamard(g: Wtgc, g2: Wtgc) -> Wtgc:
         for p2 in by_symbol.get(p.lhs.label, ()):
             if s.mul(p.weight, p2.weight) != s.zero:
                 rules[(p, p2)] = tuple(zip(states, b.decompose(p2).states))
-    names = _Names(g.alphabet, lambda xy: f"{xy[0]}*{xy[1]}")
+    names = Names(g.alphabet.names(), lambda xy: f"{xy[0]}*{xy[1]}")
     productions = set()
 
     def fire(rule, _):
@@ -443,7 +410,8 @@ def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
                  for p in by_symbol[name]
                  if p.target == q and p.eq <= eq and p.ineq <= ineq]
                 for q in order]
-    names = _Names(g.alphabet, lambda state: _state_name(state, order, target))
+    names = Names(g.alphabet.names(),
+                  lambda state: _state_name(state, order, target))
     productions = set()
 
     def fire(rule, combo):
@@ -551,7 +519,5 @@ def relabel(g: Wtgc, pi: dict[str, str],
     productions = {Production(lhs, target, weight, eq)
                    for (lhs, target, eq), weight in collected.items()
                    if weight != s.zero}
-    for name, rank in target_alphabet.symbols():
-        productions.add(Production(Tree(name, [leaf(er.sink)] * rank),
-                                   er.sink, s.one))
+    productions |= sink_productions(target_alphabet, er.sink, s.one)
     return Wtgc(g.nonterminals, target_alphabet, g.final, productions, s)

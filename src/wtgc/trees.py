@@ -113,11 +113,19 @@ class Tree:
             return True
         if not isinstance(other, Tree):
             return NotImplemented
-        if self._hash != other._hash or self.label != other.label:
+        if self._hash != other._hash or self.size != other.size:
             return False
-        if len(self.children) != len(other.children):
-            return False
-        return all(a == b for a, b in zip(self.children, other.children))
+        xs, ys = [self], [other]
+        while xs:
+            a, b = xs.pop(), ys.pop()
+            if a is b:
+                continue
+            if (a.label != b.label
+                    or len(a.children) != len(b.children)):
+                return False
+            xs.extend(a.children)
+            ys.extend(b.children)
+        return True
 
     def __hash__(self):
         return self._hash
@@ -155,13 +163,13 @@ def parse_pos(text: str) -> Position:
 def positions(t: Tree) -> list[Position]:
     """All positions of t, in depth-first left-to-right order."""
     out = []
-
-    def walk(node, prefix):
-        out.append(prefix)
-        for i, c in enumerate(node.children, start=1):
-            walk(c, prefix + (i,))
-
-    walk(t, ())
+    stack = [(t, ())]
+    while stack:
+        node, w = stack.pop()
+        out.append(w)
+        kids = node.children
+        for i in range(len(kids), 0, -1):
+            stack.append((kids[i - 1], w + (i,)))
     return out
 
 
@@ -210,16 +218,6 @@ def substitute(t: Tree, theta: dict) -> Tree:
     if not t.children:
         return theta.get(t.label, t)
     return Tree(t.label, [substitute(c, theta) for c in t.children])
-
-
-def yield_of(t: Tree, keep=is_variable) -> tuple[str, ...]:
-    """Left-to-right sequence of the indexed leaves (variables by default)."""
-    if not t.children:
-        return (t.label,) if keep(t.label) else ()
-    out = []
-    for c in t.children:
-        out.extend(yield_of(c, keep))
-    return tuple(out)
 
 
 def satisfies(t: Tree, constraint) -> bool:

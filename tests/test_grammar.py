@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import t
+from conftest import random_wtgc, t
 from wtgc.errors import GrammarError
 from wtgc.grammar import (
     Production,
@@ -12,7 +12,7 @@ from wtgc.grammar import (
     validate,
 )
 from wtgc.semiring import ARCTIC, NATURAL
-from wtgc.trees import RankedAlphabet, leaf, substitute
+from wtgc.trees import RankedAlphabet, leaf, positions, subtree
 
 ABC = RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
 
@@ -23,23 +23,19 @@ def test_validate_fixture_clean(fx1, fx2g, fx2gp, fx3, fx4, fx5, fx6):
 
 
 def test_validate_bare_nonterminal_lhs():
-    g = Wtgc({"q", "r"}, ABC, {}, [Production(leaf("q"), "r", 1)],
-             NATURAL, check=False)
-    assert any("bare nonterminal" in d for d in validate(g))
+    with pytest.raises(GrammarError, match="bare nonterminal"):
+        Wtgc({"q", "r"}, ABC, {}, [Production(leaf("q"), "r", 1)], NATURAL)
 
 
 def test_validate_zero_weight():
-    g = Wtgc({"q"}, ABC, {}, [Production(leaf("alpha"), "q", 0)],
-             NATURAL, check=False)
-    assert any("zero-weight" in d for d in validate(g))
-    with pytest.raises(GrammarError):
+    with pytest.raises(GrammarError, match="zero-weight"):
         Wtgc({"q"}, ABC, {}, [Production(leaf("alpha"), "q", 0)], NATURAL)
 
 
 def test_validate_arity():
-    g = Wtgc({"q"}, ABC, {}, [Production(t("sigma", leaf("q")), "q", 1)],
-             NATURAL, check=False)
-    assert any("arity mismatch" in d for d in validate(g))
+    with pytest.raises(GrammarError, match="arity mismatch"):
+        Wtgc({"q"}, ABC, {}, [Production(t("sigma", leaf("q")), "q", 1)],
+             NATURAL)
 
 
 def _prod(g, text):
@@ -52,7 +48,7 @@ def _prod(g, text):
 def test_decompose_example1(fx1):
     p3 = _prod(fx1, "sigma")
     dec = fx1.decompose(p3)
-    assert dec.context == t("sigma", t("gamma", leaf("x1")), leaf("x2"))
+    assert dec.checks == (((1,), "gamma", 1),)
     assert dec.states == ("q", "q")
     assert dec.positions == ((1, 1), (2,))
 
@@ -60,26 +56,36 @@ def test_decompose_example1(fx1):
 def test_decompose_nullary(fx1):
     p1 = _prod(fx1, "alpha")
     dec = fx1.decompose(p1)
-    assert dec.context == leaf("alpha")
+    assert dec.checks == ()
     assert dec.states == ()
 
 
 def test_decompose_nested(fx4):
     pf = _prod(fx4, "f(q")
     dec = fx4.decompose(pf)
-    assert dec.context == t("f", leaf("x1"), t("f", leaf("x2"), leaf("x3")))
+    assert dec.checks == (((2,), "f", 2),)
     assert dec.states == ("q", "q", "bot")
     assert dec.positions == ((1,), (2, 1), (2, 2))
 
 
-def test_decompose_resubstitute_round_trip(fx1, fx4, fx5):
-    for g in (fx1, fx4, fx5):
+def test_decompose_covers_every_position():
+    # the root, the leaves and the checks partition the lhs positions,
+    # each holding what the decomposition says it holds; both lists are in
+    # pre-order, which is the lexicographic order of positions
+    for seed in range(30):
+        g = random_wtgc(seed)
         for p in g.productions:
             dec = g.decompose(p)
-            rebuilt = substitute(
-                dec.context,
-                {f"x{i + 1}": leaf(q) for i, q in enumerate(dec.states)})
-            assert rebuilt == p.lhs
+            leaves = dict(zip(dec.positions, dec.states))
+            checks = {w: (label, arity) for w, label, arity in dec.checks}
+            assert sorted([(), *leaves, *checks]) == sorted(positions(p.lhs))
+            assert list(leaves) == sorted(leaves)
+            assert list(checks) == sorted(checks)
+            for w, q in leaves.items():
+                assert subtree(p.lhs, w) == leaf(q)
+            for w, (label, arity) in checks.items():
+                node = subtree(p.lhs, w)
+                assert (node.label, len(node.children)) == (label, arity)
 
 
 def test_classify_example1(fx1):

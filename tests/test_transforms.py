@@ -13,8 +13,14 @@ from wtgc.grammar import (
     classify,
     eq_restriction,
     production_str,
+    sink_productions,
 )
-from wtgc.homomorphism import hom_image_stage_one
+from wtgc.homomorphism import (
+    hom_image_stage_one,
+    image_grammar,
+    relabeling_hom,
+)
+from wtgc.pumping import ensure_nonbot_child
 from wtgc.semantics import (
     check_unambiguous_upto,
     derivation_weight,
@@ -530,3 +536,20 @@ def test_fresh_names_avoid_adversarial_symbols():
         assert not (out.nonterminals & set(out.alphabet.names()))
     assert_equivalent(g, boolean_finals(g), 3)
     assert_equivalent(g, eliminate_zero_derivations(g), 3)
+    # the sinks added by pumping's preprocessing and by the image
+    # construction avoid symbols named like their default names
+    alphabet = RankedAlphabet({"top": 0, "bot": 0, "bot'": 0, "f": 2})
+    sink = sink_productions(alphabet, "s", 1)
+    g = Wtgc({"q", "s"}, alphabet, {"q": 1},
+             [*sink, Production(leaf("top"), "q", 1),
+              Production(t("f", leaf("s"), leaf("s")), "q", 2)], NATURAL)
+    twin = ensure_nonbot_child(g)
+    assert twin.nonterminals == {"q", "s", "top'"}
+    assert_equivalent(g, twin, 3)
+    wta = Wtgc({"q"}, alphabet, {"q": 1},
+               [Production(leaf(a), "q", 1) for a in ("top", "bot", "bot'")]
+               + [Production(t("f", leaf("q"), leaf("q")), "q", 2)], NATURAL)
+    identity = relabeling_hom(alphabet, {}, alphabet)
+    stage = hom_image_stage_one(wta, identity)
+    assert stage.nonterminals == {"q", "bot''"}
+    assert_equivalent(wta, image_grammar(wta, identity), 3)

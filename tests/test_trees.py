@@ -23,7 +23,6 @@ from wtgc.trees import (
     subtree,
     term_str,
     trees_of_size,
-    yield_of,
 )
 
 ALPHA = leaf("alpha")
@@ -96,12 +95,14 @@ def test_substitute():
         == t("sigma", ALPHA, x2)
 
 
-def test_yield():
-    x1, x2 = leaf("x1"), leaf("x2")
-    assert yield_of(x1) == ("x1",)
-    assert yield_of(t("sigma", x1, t("gamma", x2))) == ("x1", "x2")
-    assert yield_of(t("sigma", x2, x1)) == ("x2", "x1")
-    assert yield_of(t("sigma", x2, x1)) != ("x1", "x2")
+def test_deep_trees_compare_without_recursion():
+    # two distinct objects, far deeper than the default recursion limit
+    assert sys.getrecursionlimit() < 5000
+    a, b = gammas(5000, ALPHA), gammas(5000, ALPHA)
+    assert a is not b and a == b
+    assert len({a, b}) == 1
+    assert a != gammas(5000, leaf("beta"))
+    assert len(positions(a)) == 5001
 
 
 def test_height_and_size():
