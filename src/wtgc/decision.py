@@ -18,13 +18,16 @@ trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import islice, permutations, product
+from operator import attrgetter, itemgetter
 
 from .errors import DecisionError
-from .grammar import Wtgc, eq_restriction
+from .grammar import Wtgc, classify, eq_restriction
 from .pumping import ensure_nonbot_child
 from .semantics import weight_map
 from .transforms import eliminate_zero_derivations, saturate
-from .trees import enumerate_trees
+from .trees import Tree, compositions, enumerate_trees
 
 
 @dataclass(frozen=True)
@@ -137,13 +140,124 @@ def finiteness_analysis(g: Wtgc) -> tuple[bool, str]:
     return True, "no productive cycle"
 
 
-def enumerate_support(g: Wtgc, max_size: int) -> list:
-    """All trees of size at most max_size with nonzero weight, in
-    canonical order; the brute-force oracle for both decisions.
+class _Class:
+    """The trees of one size and one weight vector, as the union of its
+    origins: a symbol, a tuple of child classes and an equality pattern
+    of the slots.  `reps` holds up to as many members as the largest
+    rank, enough distinct children for any pattern; `members` holds all
+    of them once listed."""
 
-    The enumeration is weighed in one batch, in which each tree reuses
-    its children's vectors."""
+    __slots__ = ("vector", "origins", "reps", "members")
+
+    def __init__(self, vector):
+        self.vector = vector
+        self.origins = []
+        self.reps = []
+        self.members = None
+
+
+@cache
+def _patterns(shape):
+    """Every equality pattern of the slots of a tuple of child classes,
+    where shape[i] is the first slot holding slot i's class (slots of
+    different classes never hold equal trees).
+
+    A pattern is a set partition of each class's slots, given as the
+    slots `firsts` that open a class, the number of blocks of each of
+    those classes, and per slot its class's index in `firsts` and its
+    block, numbered in order of first appearance."""
+    out = [()]
+    for i, first in enumerate(shape):
+        out = [js + (j,) for js in out for j in range(
+            1 if first == i else
+            2 + max(b for f, b in zip(shape, js) if f == first))]
+    firsts = tuple(i for i, first in enumerate(shape) if first == i)
+    return tuple((firsts,
+                  tuple(1 + max(b for f, b in zip(shape, js) if f == first)
+                        for first in firsts),
+                  tuple((firsts.index(f), j) for f, j in zip(shape, js)))
+                 for js in out)
+
+
+def _fillings(kids, pattern, pool):
+    """The children of the trees of one origin, drawing the blocks of
+    each child class from distinct entries of pool(class)."""
+    firsts, blocks, at = pattern
+    for picks in product(*(permutations(pool(kids[f]), b)
+                           for f, b in zip(firsts, blocks))):
+        yield [picks[i][j] for i, j in at]
+
+
+def enumerate_support(g: Wtgc, max_size: int) -> list:
+    """All trees of size at most max_size with nonzero weight, by size
+    and then serialized form; the bounded oracle for both decisions.
+
+    When the grammar is normalized and classic, every constraint relates
+    two children of one node, so a node's weight vector depends only on
+    its symbol, its children's vectors and which of its children are
+    equal.  The trees are then grouped size by size into classes of
+    equal (size, vector), as in the brother-constraint counting of
+    Bogaert & Tison (STACS 1992): a class is a union of origins, and an
+    origin has trees exactly when each child class has as many members
+    as the origin has blocks of it.  One representative tree per origin
+    is weighed through the grammar's weight map; member trees are listed
+    only for the classes with a nonzero final weighting and the classes
+    below them.  Any other grammar is weighed tree by tree over the
+    enumeration."""
+    m = weight_map(g)
     zero = g.semiring.zero
-    trees = list(enumerate_trees(g.alphabet, max_size))
-    weights = weight_map(g).evaluate_all(trees)
-    return [t for t, w in zip(trees, weights) if w != zero]
+    cls = classify(g)
+    if not (cls.normalized and cls.classic):
+        return [t for t in enumerate_trees(g.alphabet, max_size)
+                if m.evaluate(t) != zero]
+    most = max(1, g.alphabet.max_rank())
+    reps = attrgetter("reps")
+    levels = [[]]
+    for n in range(1, max_size + 1):
+        found: dict = {}
+        for name, rank in g.alphabet.symbols():
+            for split in compositions(n - 1, rank):
+                for kids in product(*(levels[s] for s in split)):
+                    for pattern in _patterns(tuple(map(kids.index, kids))):
+                        firsts, blocks, at = pattern
+                        if any(len(kids[f].reps) < b
+                               for f, b in zip(firsts, blocks)):
+                            continue
+                        vec = m.vector(Tree(name, [
+                            kids[firsts[i]].reps[j] for i, j in at]))
+                        c = found.get(vec)
+                        if c is None:
+                            c = found[vec] = _Class(vec)
+                        c.origins.append((name, kids, pattern))
+                        if len(c.reps) < most:
+                            c.reps.extend(islice(
+                                (Tree(name, ch) for ch in
+                                 _fillings(kids, pattern, reps)),
+                                most - len(c.reps)))
+        levels.append(list(found.values()))
+    support = {c for level in levels for c in level
+               if m.total(c.vector) != zero}
+    needed = set(support)
+    todo = list(support)
+    while todo:
+        for _, kids, _ in todo.pop().origins:
+            for k in kids:
+                if k not in needed:
+                    needed.add(k)
+                    todo.append(k)
+    members = attrgetter("members")
+    out = []
+    for level in levels:
+        # (serialized form, tree) pairs, each form spelled from the
+        # children's forms
+        for c in level:
+            if c in needed:
+                c.members = [
+                    (f"{name}({','.join(text for text, _ in ch)})"
+                     if ch else name, Tree(name, [x for _, x in ch]))
+                    for name, kids, pattern in c.origins
+                    for ch in _fillings(kids, pattern, members)]
+        out.extend(tree for _, tree in sorted(
+            (x for c in level if c in support for x in c.members),
+            key=itemgetter(0)))
+    return out

@@ -210,6 +210,9 @@ def validate(g: Wtgc) -> list[str]:
             out.append(f"{pid}: lhs is a bare nonterminal")
             continue
         check_lhs(p.lhs, pid)
+        if (p.eq or p.ineq) and any(
+                i < 1 for pair in p.eq | p.ineq for w in pair for i in w):
+            out.append(f"{pid}: constraint position component below 1")
         if p.target not in g.nonterminals:
             out.append(f"{pid}: undeclared target {p.target!r}")
         if not s.contains(p.weight):

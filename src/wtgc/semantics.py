@@ -18,11 +18,12 @@ Constraint pairs compare ids.  Where no production of a label looks
 below the children or carries constraints, a node's vector depends on
 its children's vectors alone and is memoized on them.
 
-`evaluate` and `state_weight` read the vector of the root; the root
-object itself is not remembered.  `WeightMap.evaluate_all` weighs a
-whole sequence under one lock, and `decision.enumerate_support` runs it
-over the canonical enumeration: a tree whose children came earlier in
-the batch looks its vector up on theirs, without interning.
+`evaluate` and `state_weight` read the vector of the root
+(`WeightMap.vector`); the root object itself is not remembered.
+`decision.enumerate_support` weighs one representative tree per origin
+of a class of equal vectors through the same method, and weighs every
+tree only for grammars where a vector may depend on more than the
+children's vectors and their equalities.
 
 `derivations` enumerates the complete left-most derivations with the
 same compiled matcher and ids: the alternatives at each (nonterminal,
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import GrammarError
 from .grammar import Production, Wtgc, decompose
@@ -363,16 +363,19 @@ class WeightMap:
         if q not in self.nonterminals:
             raise GrammarError(f"undeclared nonterminal {q!r}")
 
+    def vector(self, t: Tree) -> tuple:
+        """The nonzero state weights of t as (state, weight) pairs."""
+        with self._lock:
+            return self._root_vector(t)
+
     def state_weight(self, q: str, t: Tree):
         self._declared(q)
-        with self._lock:
-            vec = self._root_vector(t)
-        for r, x in vec:
+        for r, x in self.vector(t):
             if r == q:
                 return x
         return self.semiring.zero
 
-    def _total(self, vec: tuple):
+    def total(self, vec: tuple):
         """The final weighting of a vector: the sum of F_q * wt_q."""
         s = self.semiring
         total = s.zero
@@ -384,49 +387,7 @@ class WeightMap:
         return total
 
     def evaluate(self, t: Tree):
-        with self._lock:
-            vec = self._root_vector(t)
-        return self._total(vec)
-
-    def evaluate_all(self, trees) -> list:
-        """The weights of many trees, in order, under one lock.
-
-        A tree whose children came earlier in the same call and whose
-        bucket is plain costs one memo lookup on its children's vectors,
-        with no interning; every other tree, and every memo miss, goes
-        through `_root_vector`.  Over the canonical enumeration each tree
-        but a leaf has its children earlier.  The final weighting is
-        computed once per distinct vector.
-        """
-        # the list keeps every tree alive and `kept` every vector met, so
-        # the ids memoized below stay valid even when `trees` yields
-        # temporaries
-        trees = list(trees)
-        # a tree of the largest size is nobody's child in this call
-        largest = max(map(attrgetter("size"), trees), default=0)
-        vector_ids: dict = {}  # id(tree) -> id(its vector)
-        totals: dict = {}      # id(vector) -> its final weighting
-        kept, out = [], []
-        get, buckets = vector_ids.get, self._buckets
-        with self._lock:
-            for t in trees:
-                key = tuple(map(get, map(id, t.children)))
-                bucket = buckets.get((t.label, len(key)))
-                vec = None
-                # only plain buckets fill their memo
-                if bucket is not None and None not in key:
-                    vec = bucket.memo.get(key)
-                if vec is None:
-                    vec = self._root_vector(t)
-                v = id(vec)
-                if t.size < largest:
-                    vector_ids[id(t)] = v
-                total = totals.get(v)
-                if total is None:
-                    total = totals[v] = self._total(vec)
-                    kept.append(vec)
-                out.append(total)
-        return out
+        return self.total(self.vector(t))
 
     # -- derivations ------------------------------------------------------------
 

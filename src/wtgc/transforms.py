@@ -19,6 +19,7 @@ and `STATE_CAP` bounds them all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import product
 
 from .errors import TransformError
@@ -28,6 +29,7 @@ from .grammar import (
     Wtgc,
     classify,
     eq_restriction,
+    production_str,
     sink_productions,
 )
 from .semiring import BOOLEAN, Semiring, SemiringHom, support_hom
@@ -117,18 +119,23 @@ def normalize(g: Wtgc) -> Wtgc:
         return g
     s = g.semiring
     nonterminals = set(g.nonterminals)
-    productions = set(g.productions)
     names = Names(nonterminals | set(g.alphabet.names()), _mangle)
+    productions: set = set()
+    # the productions left to rewrite, smallest lhs first
+    heap: list = []
 
-    while True:
-        worklist = sorted(
-            (p for p in productions
-             if not all(c.label in nonterminals and not c.children
-                        for c in p.lhs.children)),
-            key=lambda p: term_str(p.lhs))
-        if not worklist:
-            break
-        p = worklist[0]
+    def add(p):
+        if p in productions:
+            return
+        productions.add(p)
+        if not all(c.label in nonterminals and not c.children
+                   for c in p.lhs.children):
+            heappush(heap, (term_str(p.lhs), production_str(p, s), p))
+
+    for p in g.productions:
+        add(p)
+    while heap:
+        p = heappop(heap)[2]
         children = []
         for sub in p.lhs.children:
             if sub.label in nonterminals and not sub.children:
@@ -136,11 +143,11 @@ def normalize(g: Wtgc) -> Wtgc:
                 continue
             name = names[sub]
             nonterminals.add(name)
-            productions.add(Production(sub, name, s.one))
+            add(Production(sub, name, s.one))
             children.append(leaf(name))
         productions.remove(p)
-        productions.add(Production(Tree(p.lhs.label, children), p.target,
-                                   p.weight, p.eq, p.ineq))
+        add(Production(Tree(p.lhs.label, children), p.target, p.weight,
+                       p.eq, p.ineq))
     return Wtgc(nonterminals, g.alphabet, g.final, productions, s)
 
 

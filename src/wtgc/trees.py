@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 import threading
+from operator import itemgetter
 
 from .errors import InvalidPositionError, TreeError
 
@@ -249,7 +250,7 @@ def leftmost_key(w: Position):
     return w + (_POS_INF,)
 
 
-def _compositions(total: int, parts: int):
+def compositions(total: int, parts: int):
     """All ways to write total as an ordered sum of `parts` positive ints."""
     if parts == 0:
         if total == 0:
@@ -260,11 +261,13 @@ def _compositions(total: int, parts: int):
             yield (total,)
         return
     for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
-_ENUM_CACHE: dict[RankedAlphabet, list] = {}
+# per alphabet, the trees of each size and their serialized forms
+# per alphabet, the trees of each size and their serialized forms
+_ENUM_CACHE: dict[RankedAlphabet, tuple[list, list]] = {}
 _ENUM_LOCK = threading.Lock()
 
 
@@ -273,25 +276,29 @@ def trees_of_size(alphabet: RankedAlphabet, size: int) -> tuple[Tree, ...]:
     their serialized form.
 
     The buckets are cached per alphabet and shared: a tree of size n is
-    built from the very objects of the smaller buckets.  The lock keeps
-    threads that extend one alphabet's list from appending a bucket twice.
+    built from the very objects of the smaller buckets, and its
+    serialized form from theirs.  The lock keeps threads that extend one
+    alphabet's lists from appending a bucket twice.
     """
     with _ENUM_LOCK:
-        buckets = _ENUM_CACHE.setdefault(alphabet, [()])
+        buckets, spelled = _ENUM_CACHE.setdefault(alphabet, ([()], [()]))
         while len(buckets) <= size:
             n = len(buckets)
             bucket = []
             for name, rank in alphabet.symbols():
                 if rank == 0:
                     if n == 1:
-                        bucket.append(Tree(name))
+                        bucket.append((name, Tree(name)))
                     continue
-                for split in _compositions(n - 1, rank):
-                    for combo in itertools.product(
-                            *(buckets[s] for s in split)):
-                        bucket.append(Tree(name, combo))
-            bucket.sort(key=term_str)
-            buckets.append(tuple(bucket))
+                for split in compositions(n - 1, rank):
+                    bucket.extend(
+                        (f"{name}({','.join(texts)})", Tree(name, combo))
+                        for texts, combo in zip(
+                            itertools.product(*(spelled[s] for s in split)),
+                            itertools.product(*(buckets[s] for s in split))))
+            bucket.sort(key=itemgetter(0))
+            spelled.append(tuple(text for text, _ in bucket))
+            buckets.append(tuple(tree for _, tree in bucket))
     return buckets[size]
 
 

@@ -17,7 +17,7 @@ UNCALLED = {
     "decision.is_support_finite": "the yes/no form of finiteness_analysis",
     "syntax.serialize_hom": "the writer that parse_hom reads back",
     "homomorphism.apply": "the reference implementation preimage inverts",
-    "decision.enumerate_support": "the brute-force oracle of both decisions",
+    "decision.enumerate_support": "the bounded oracle of both decisions",
 }
 
 

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import gammas, random_eq_restricted, t
+from conftest import gammas, random_eq_restricted, random_wtgc, t
 from wtgc.decision import (
     enumerate_support,
     is_support_empty,
@@ -8,11 +10,12 @@ from wtgc.decision import (
     productivity,
 )
 from wtgc.errors import DecisionError
-from wtgc.grammar import Production, Wtgc
+from wtgc.grammar import Production, Wtgc, classify
 from wtgc.pumping import grammar_height, separation_family
 from wtgc.semantics import evaluate
-from wtgc.semiring import NATURAL
-from wtgc.trees import RankedAlphabet, leaf, term_str
+from wtgc.semiring import ARCTIC, NATURAL, IntegersMod
+from wtgc.trees import RankedAlphabet, enumerate_trees, leaf, term_str
+from wtgc import trees
 
 ALPHA = leaf("alpha")
 
@@ -189,3 +192,101 @@ def test_finiteness_of_a_long_chain_needs_no_recursion():
     # zero elimination names each nonterminal q#[...] after its vector
     assert finiteness_analysis(loop) == (
         False, "cycle: " + " -> ".join(f"{q}#[]" for q in states + ["q0"]))
+
+
+# -- the class enumerator against brute force --------------------------------
+
+
+def brute_support(g, max_size):
+    """The trees of size <= max_size with nonzero weight, each weighed by
+    `evaluate` on a fresh copy of the grammar."""
+    copy = Wtgc(g.nonterminals, g.alphabet, g.final, g.productions,
+                g.semiring)
+    zero = g.semiring.zero
+    return [x for x in enumerate_trees(g.alphabet, max_size)
+            if evaluate(copy, x) != zero]
+
+
+def by_classes(g):
+    cls = classify(g)
+    return cls.normalized and cls.classic
+
+
+def random_brother(seed):
+    """A small random normalized grammar whose constraints are eq and ne
+    pairs of child positions, over nat, arctic or Z/4."""
+    rng = random.Random(seed)
+    semiring = rng.choice([NATURAL, ARCTIC, IntegersMod(4)])
+    symbols = {"alpha": 0, "gamma": 1, "sigma": 2}
+    symbols.update(rng.choice([{}, {"beta": 0}, {"tau": 3}]))
+    qs = ["q1", "q2", "q3"][:rng.randint(1, 3)]
+    prods = [Production(ALPHA, qs[0], 1)]
+    for _ in range(rng.randint(3, 7)):
+        name = rng.choice(sorted(symbols))
+        k = symbols[name]
+        pairs = [((i,), (j,)) for i in range(1, k + 1)
+                 for j in range(i + 1, k + 1)]
+        weight = rng.randint(1, 3)
+        if semiring is ARCTIC and rng.random() < 0.2:
+            weight = 0  # the arctic one
+        prods.append(Production(
+            t(name, *(leaf(rng.choice(qs)) for _ in range(k))),
+            rng.choice(qs), weight,
+            [pair for pair in pairs if rng.random() < 0.4],
+            [pair for pair in pairs if rng.random() < 0.3]))
+    final = {q: rng.randint(1, 2) for q in qs if rng.random() < 0.6}
+    return Wtgc(qs, RankedAlphabet(symbols), final or {qs[-1]: 1}, prods,
+                semiring)
+
+
+def test_class_enumerator_agrees_with_brute_force():
+    grammars = [random_eq_restricted(seed) for seed in range(100)]
+    grammars += [random_brother(seed) for seed in range(60)]
+    semirings = {g.semiring.name for g in grammars}
+    assert {"nat", "arctic"} <= semirings and len(semirings) == 3
+    for i, g in enumerate(grammars):
+        assert by_classes(g), i
+        assert enumerate_support(g, 8) == brute_support(g, 8), i
+
+
+def test_class_enumerator_on_a_rank_three_symbol():
+    # h(x,y,x) with x != y, and h over three equal children
+    alphabet = RankedAlphabet({"a": 0, "b": 0, "g": 1, "h": 3})
+    q, p = leaf("q"), leaf("p")
+    g = Wtgc({"q", "p"}, alphabet, {"p": 1}, [
+        Production(leaf("a"), "q", 1),
+        Production(leaf("b"), "q", 2),
+        Production(t("g", q), "q", 1),
+        Production(t("h", q, q, q), "p", 1, [((1,), (3,))], [((1,), (2,))]),
+        Production(t("h", q, q, q), "p", 3, [((1,), (2,)), ((2,), (3,))]),
+        Production(t("h", p, q, p), "p", 1, [((1,), (3,))]),
+    ], NATURAL)
+    assert by_classes(g)
+    support = enumerate_support(g, 8)
+    assert support == brute_support(g, 8)
+    assert [term_str(x) for x in support[:4]] == [
+        "h(a,a,a)", "h(a,b,a)", "h(b,a,b)", "h(b,b,b)"]
+
+
+def test_other_grammars_are_weighed_tree_by_tree(fx4, fx3_image):
+    grammars = [fx4, fx3_image] + [random_wtgc(seed) for seed in range(30)]
+    for i, g in enumerate(grammars):
+        assert not by_classes(g), i
+        assert enumerate_support(g, 7) == brute_support(g, 7), i
+
+
+def test_only_the_per_tree_path_fills_the_enumeration_cache():
+    alphabet = RankedAlphabet({"leaf_only_here": 0, "node_only_here": 2})
+    q = leaf("q")
+    node = t("node_only_here", q, q)
+    flat = Wtgc({"q"}, alphabet, {"q": 1}, [
+        Production(leaf("leaf_only_here"), "q", 1),
+        Production(node, "q", 1, [((1,), (2,))])], NATURAL)
+    assert [x.size for x in enumerate_support(flat, 7)] == [1, 3, 7]
+    assert alphabet not in trees._ENUM_CACHE
+    below = Wtgc({"q"}, alphabet, {"q": 1}, [
+        Production(leaf("leaf_only_here"), "q", 1),
+        Production(node, "q", 1, [((1,), (2, 1))])], NATURAL)
+    support = enumerate_support(below, 7)
+    assert alphabet in trees._ENUM_CACHE
+    assert support == brute_support(below, 7)

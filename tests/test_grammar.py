@@ -38,6 +38,19 @@ def test_validate_arity():
              NATURAL)
 
 
+def test_validate_position_components_from_one():
+    # a 0 would address the last child through Python's negative indexing
+    abf = RankedAlphabet({"a": 0, "b": 0, "f": 2})
+    base = [Production(leaf("a"), "q", 1), Production(leaf("b"), "q", 1)]
+    fqq = t("f", leaf("q"), leaf("q"))
+    for eq, ineq in (([((0,), (2,))], []), ([], [((2, 0), (1,))])):
+        with pytest.raises(GrammarError, match="position component below 1"):
+            Wtgc({"q"}, abf, {"q": 1},
+                 base + [Production(fqq, "q", 1, eq, ineq)], NATURAL)
+    Wtgc({"q"}, abf, {"q": 1},
+         base + [Production(fqq, "q", 1, [((1,), (2,))])], NATURAL)
+
+
 def _prod(g, text):
     for p in g.productions:
         if production_str(p, g.semiring).startswith(text):

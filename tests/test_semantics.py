@@ -320,69 +320,9 @@ def test_one_grammar_shared_between_threads():
     assert len(m.keys) == len(m.vectors) == len(set(m.keys))
 
 
-def _preorder(tree):
-    """The tree and all its subtrees, every parent before its children."""
-    out, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
-    return out
-
-
-def _fresh_copies(trees):
-    """A node-by-node copy of each tree, built only when asked for: once
-    the consumer lets go of a copy, nothing holds it, and its memory may
-    be reused for the next one."""
-    for tree in trees:
-        yield _unshared(tree)
-
-
 def _fresh(g):
     return Wtgc(g.nonterminals, g.alphabet, g.final, g.productions,
                 g.semiring)
-
-
-def test_batch_agrees_with_evaluate():
-    # the batch reuses the vectors of trees met earlier in the same call;
-    # whatever the order, sharing or lifetime of the trees, it must give
-    # what evaluate gives tree by tree on an untouched copy of the grammar
-    grammars = [random_wtgc(seed) for seed in range(30)]
-    grammars += [random_eq_restricted(seed) for seed in range(30)]
-    for i, g in enumerate(grammars):
-        trees = list(enumerate_trees(g.alphabet, 6))
-        reference = _fresh(g)
-        expected = {tree: evaluate(reference, tree) for tree in trees}
-        batch = weight_map(g).evaluate_all
-        orders = {
-            "enumeration": trees,
-            "reversed": trees[::-1],
-            "parents first": [x for tree in trees for x in _preorder(tree)],
-            "equal copies": [x for tree in trees
-                             for x in (tree, _unshared(tree))],
-        }
-        for name, order in orders.items():
-            assert batch(order) == [expected[x] for x in order], (i, name)
-        assert batch(_fresh_copies(trees)) == [expected[x] for x in trees], i
-        # a grammar that only ever sees fresh copies
-        copy = _fresh(g)
-        got = weight_map(copy).evaluate_all(_fresh_copies(trees))
-        assert got == [expected[x] for x in trees], i
-    assert weight_map(_fresh(grammars[0])).evaluate_all([]) == []
-
-
-def test_batch_takes_deep_trees():
-    g = load_grammar("fx2g")
-    deep = ALPHA
-    for _ in range(5000):
-        deep = Tree("gamma", [deep])
-    below = deep.children[0]
-    weights = _at_default_recursion_limit(
-        lambda: weight_map(g).evaluate_all([deep, ALPHA, below, deep]))
-    assert weights == [10000, 0, 9998, 10000]
-    weights = _at_default_recursion_limit(
-        lambda: weight_map(_fresh(g)).evaluate_all([below, deep]))
-    assert weights == [9998, 10000]
 
 
 def test_enumerate_support_shared_between_threads():

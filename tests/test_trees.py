@@ -203,6 +203,23 @@ def test_enumerate_trees_canonical():
         assert bucket == sorted(bucket)
 
 
+def test_buckets_are_sorted_by_serialized_form():
+    # the buckets are sorted on forms spelled from the children's forms;
+    # the order must be that of term_str, including the ',' and ')' that
+    # sort before letters
+    for symbols in ({"alpha": 0, "gamma": 1},
+                    {"alpha": 0, "gamma": 1, "sigma": 2},
+                    {"alpha": 0, "beta": 0, "gamma": 1, "sigma": 2},
+                    {"alpha": 0, "gamma": 1, "delta": 1},
+                    {"alpha": 0, "beta": 0, "gamma": 1, "delta": 1,
+                     "sigma": 2}):
+        alphabet = RankedAlphabet(symbols)
+        for n in range(1, 8):
+            bucket = trees_of_size(alphabet, n)
+            assert list(bucket) == sorted(bucket, key=term_str), (symbols, n)
+            assert len(set(bucket)) == len(bucket)
+
+
 def test_enumeration_cache_is_thread_safe():
     # threads that extend one alphabet's cache at once must neither skip
     # nor repeat a bucket: bucket n holds exactly the trees of size n
