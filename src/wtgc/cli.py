@@ -384,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # the term parser and printer recurse; the raised limit is put back
-    # on return so that in-process callers keep their own
+    # only the term printer (`term_str`) still recurses; the raised limit
+    # is put back on return so that in-process callers keep their own
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:

@@ -31,8 +31,6 @@ from .trees import (
     Position,
     Tree,
     leaf,
-    leftmost_key,
-    positions,
     replace,
     subtree,
 )
@@ -57,9 +55,16 @@ def _sink_steps(g: Wtgc, sink: str, t: Tree) -> tuple:
     for p in g.productions:
         if p.target == sink:
             by_symbol[p.lhs.label] = p
+    # a right-to-left pre-order, reversed, is the left-to-right post-order,
+    # which is the left-most derivation order
+    walk = []
+    stack = [(t, ())]
+    while stack:
+        node, w = stack.pop()
+        walk.append((node.label, w))
+        stack.extend((c, w + (i,)) for i, c in enumerate(node.children, 1))
     try:
-        ordered = sorted(positions(t), key=leftmost_key)
-        return tuple((by_symbol[subtree(t, w).label], w) for w in ordered)
+        return tuple((by_symbol[label], w) for label, w in reversed(walk))
     except KeyError as missing:
         raise PumpError(f"no sink production for symbol {missing}") from None
 

@@ -31,7 +31,10 @@ from .trees import (
     term_str,
 )
 
-_TOKEN_RE = re.compile(rf"\s*({NAME_RE.pattern}|\(|\)|,)")
+# every token of a term in one `findall`: names and punctuation, plus an
+# empty match at each non-space character that starts neither
+_TOKENS_RE = re.compile(rf"{NAME_RE.pattern}|[(),]|(?=\S)")
+_PUNCTUATION = frozenset("(),")
 
 
 def parse_term(text: str, alphabet: RankedAlphabet | None = None,
@@ -42,62 +45,66 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None,
     With an alphabet given, symbol arities are enforced; names that are
     neither symbols nor nonterminals must be variables when those are
     allowed, and are rejected otherwise.
+
+    Nothing recurses: open nodes wait on an explicit stack, so any depth
+    parses.  Equal subtrees of the term come back as one shared object,
+    built and checked once per distinct (label, children) (trees are
+    immutable, so only `is` can tell), and the weight map then walks the
+    distinct nodes only.
     """
-    tokens = []
+    tokens = _TOKENS_RE.findall(text)
+    if "" in tokens:
+        # what the tokens leave is whitespace and the bad characters
+        bad = _TOKENS_RE.sub("", text).split()[0][0]
+        raise ParseError(f"unexpected character {bad!r}", line)
+    tokens.append("")  # end marker; no token is empty now
+    shared: dict = {}  # (label, ids of the shared children) -> its Tree
+    stack: list = []   # (label, children so far) of each open node
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}",
-                                 line)
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    index = 0
-
-    def peek():
-        return tokens[index] if index < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal index
-        if index >= len(tokens):
+    while True:
+        label = tokens[pos]
+        pos += 1
+        if not label:
             raise ParseError("unexpected end of term", line)
-        tok = tokens[index]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}", line)
-        index += 1
-        return tok
-
-    def node() -> Tree:
-        name = take()
-        if name in ("(", ")", ","):
-            raise ParseError(f"expected a name, found {name!r}", line)
-        children = []
-        if peek() == "(":
-            take("(")
-            children.append(node())
-            while peek() == ",":
-                take(",")
-                children.append(node())
-            take(")")
-        if alphabet is not None and name in alphabet:
-            if alphabet.rank(name) != len(children):
-                raise ParseError(f"arity mismatch at {name!r}", line)
-        elif name in nonterminals:
-            if children:
-                raise ParseError(f"nonterminal {name!r} with children", line)
-        elif alphabet is not None:
-            if not (allow_variables and is_variable(name)):
-                raise ParseError(f"unknown symbol {name!r}", line)
-            if children:
-                raise ParseError(f"variable {name!r} with children", line)
-        return Tree(name, children)
-
-    result = node()
-    if index != len(tokens):
-        raise ParseError(f"trailing input {tokens[index]!r}", line)
-    return result
+        if label in _PUNCTUATION:
+            raise ParseError(f"expected a name, found {label!r}", line)
+        if tokens[pos] == "(":
+            pos += 1
+            stack.append((label, []))
+            continue
+        children = ()
+        while True:  # finish this node, then every parent it closes
+            key = (label, tuple(map(id, children)))
+            node = shared.get(key)
+            if node is None:
+                if alphabet is not None and label in alphabet:
+                    if alphabet.rank(label) != len(children):
+                        raise ParseError(f"arity mismatch at {label!r}", line)
+                elif label in nonterminals:
+                    if children:
+                        raise ParseError(
+                            f"nonterminal {label!r} with children", line)
+                elif alphabet is not None:
+                    if not (allow_variables and is_variable(label)):
+                        raise ParseError(f"unknown symbol {label!r}", line)
+                    if children:
+                        raise ParseError(
+                            f"variable {label!r} with children", line)
+                node = shared[key] = Tree(label, children)
+            if not stack:
+                if tokens[pos]:
+                    raise ParseError(f"trailing input {tokens[pos]!r}", line)
+                return node
+            label, children = stack[-1]
+            children.append(node)
+            tok = tokens[pos]
+            pos += 1
+            if tok == ",":
+                break
+            if tok != ")":
+                raise ParseError(f"expected ')', found {tok!r}" if tok
+                                 else "unexpected end of term", line)
+            stack.pop()
 
 
 _PROD_RE = re.compile(r"^(?P<lhs>.*?)->(?P<rest>.*)$", re.S)
@@ -147,6 +154,9 @@ def parse_grammar(text: str) -> Wtgc:
                 name, rank = entry.rsplit(":", 1)
                 if not rank.isdigit():
                     raise ParseError(f"bad alphabet entry {entry!r}", lineno)
+                if name in alphabet_items:
+                    raise ParseError(f"duplicate alphabet symbol {name!r}",
+                                     lineno)
                 alphabet_items[name] = int(rank)
         elif keyword == "nonterminals":
             nonterminals.extend(rest.split())
@@ -167,11 +177,14 @@ def parse_grammar(text: str) -> Wtgc:
     except Exception as exc:
         raise ParseError(str(exc)) from None
 
+    declared = frozenset(nonterminals)
     final = {}
     for name, literal, lineno in finals:
-        if name not in nonterminals:
+        if name not in declared:
             raise ParseError(f"final weight for unknown nonterminal {name!r}",
                              lineno)
+        if name in final:
+            raise ParseError(f"duplicate final weight for {name!r}", lineno)
         try:
             final[name] = semiring.parse(literal)
         except Exception as exc:
@@ -182,7 +195,7 @@ def parse_grammar(text: str) -> Wtgc:
         m = _PROD_RE.match(body)
         if not m:
             raise ParseError("production needs `->`", lineno)
-        lhs = parse_term(m.group("lhs").strip(), alphabet, nonterminals,
+        lhs = parse_term(m.group("lhs").strip(), alphabet, declared,
                          line=lineno)
         rest = m.group("rest").strip()
         if "@" not in rest:

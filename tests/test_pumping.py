@@ -5,6 +5,7 @@ from wtgc.errors import PumpError
 from wtgc.grammar import Production, Wtgc, eq_restriction
 from wtgc.pumping import (
     SubstitutionSite,
+    _sink_steps,
     base_derivation,
     ensure_nonbot_child,
     grammar_height,
@@ -26,6 +27,8 @@ from wtgc.trees import (
     Tree,
     enumerate_trees,
     leaf,
+    leftmost_key,
+    positions,
     subtree,
     term_str,
 )
@@ -174,6 +177,19 @@ def test_pump_rejects_short_trees(fx4_prepared):
     (d,) = derivations(g, base, q)
     with pytest.raises(PumpError, match="height"):
         pump(g, base, d, 1)
+
+
+def test_sink_steps_are_the_leftmost_order(fx4_prepared):
+    g = fx4_prepared
+    sink = eq_restriction(g).sink
+    by_symbol = {p.lhs.label: p for p in g.productions if p.target == sink}
+    base = parse_term(term_str(tall_square(7)), g.alphabet)
+    (q,) = g.final_support()
+    (d,) = derivations(g, base, q)
+    for tree in [base] + [tree for tree, _ in pump(g, base, d, 3)]:
+        ordered = sorted(positions(tree), key=leftmost_key)
+        assert _sink_steps(g, sink, tree) == tuple(
+            (by_symbol[subtree(tree, w).label], w) for w in ordered)
 
 
 def test_search_pump_base():

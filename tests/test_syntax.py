@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from conftest import FIXTURES, load_grammar, load_hom, t
@@ -10,7 +12,7 @@ from wtgc.syntax import (
     serialize_grammar,
     serialize_hom,
 )
-from wtgc.trees import RankedAlphabet, leaf
+from wtgc.trees import RankedAlphabet, Tree, enumerate_trees, leaf, term_str
 
 ABC = RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
 FIXTURE_NAMES = ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5", "fx6")
@@ -44,6 +46,63 @@ def test_parse_term_trailing_garbage():
         parse_term("alpha alpha", ABC)
 
 
+def test_parse_term_shares_equal_subtrees():
+    tree = parse_term("sigma(gamma(alpha),gamma(alpha))", ABC)
+    left, right = tree.children
+    assert left is right
+    unshared = t("sigma", t("gamma", leaf("alpha")), t("gamma", leaf("alpha")))
+    assert tree == unshared and hash(tree) == hash(unshared)
+    assert tree.size == 5
+    assert term_str(tree) == "sigma(gamma(alpha),gamma(alpha))"
+
+
+def test_parse_term_needs_no_recursion():
+    depth = 100000
+    text = "gamma(" * depth + "alpha" + ")" * depth
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        tree = parse_term(text, ABC)
+    finally:
+        sys.setrecursionlimit(old)
+    built = leaf("alpha")
+    for _ in range(depth):
+        built = Tree("gamma", [built])
+    assert tree == built
+    assert tree.size == depth + 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected end of term"),
+    ("sigma(", "unexpected end of term"),
+    ("sigma(alpha,)", "expected a name, found ')'"),
+    ("sigma(,alpha)", "expected a name, found ','"),
+    ("gamma()", "expected a name, found ')'"),
+    ("sigma(alpha alpha)", "expected ')', found 'alpha'"),
+    ("alpha$", "unexpected character '$'"),
+    ("tau(alpha$", "unexpected character '$'"),
+    (")", "expected a name, found ')'"),
+    ("sigma(alpha)", "arity mismatch at 'sigma'"),
+    ("q(alpha)", "nonterminal 'q' with children"),
+    ("x1", "unknown symbol 'x1'"),
+    ("alpha alpha", "trailing input 'alpha'"),
+    ("gamma(alpha))", "trailing input ')'"),
+    ("1alpha", "unexpected character '1'"),
+    ("sigma(alpha,,alpha)", "expected a name, found ','"),
+])
+def test_parse_term_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_term(text, ABC, frozenset({"q"}), line=3)
+    assert str(info.value) == f"{message} at line 3"
+
+
+def test_parse_term_round_trips_every_small_tree():
+    for name in FIXTURE_NAMES:
+        alphabet = load_grammar(name).alphabet
+        for tree in enumerate_trees(alphabet, 6):
+            assert parse_term(term_str(tree), alphabet) == tree
+
+
 def test_grammar_arity_error_carries_line():
     text = "\n".join([
         "semiring nat",
@@ -74,6 +133,21 @@ def test_missing_weight():
     ])
     with pytest.raises(ParseError, match="weight"):
         parse_grammar(text)
+
+
+@pytest.mark.parametrize("header, entries, message", [
+    ("alphabet a:0", ["final q = 1", "final q = 2"],
+     "duplicate final weight for 'q' at line 5"),
+    ("alphabet a:0", ["alphabet a:1"],
+     "duplicate alphabet symbol 'a' at line 4"),
+    ("alphabet a:0 a:1", [], "duplicate alphabet symbol 'a' at line 2"),
+])
+def test_duplicate_entries_are_rejected(header, entries, message):
+    text = "\n".join(["semiring nat", header, "nonterminals q", *entries,
+                      "prod a -> q @ 1"])
+    with pytest.raises(ParseError) as info:
+        parse_grammar(text)
+    assert str(info.value) == message
 
 
 def test_round_trip_all_fixtures():
