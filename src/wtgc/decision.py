@@ -3,11 +3,14 @@
 Both procedures work on eq-restricted positive classic grammars over
 zero-sum free (and, for the shipped Boolean mapping, zero-divisor free)
 semirings.  After eliminating zero-weight derivations, a tree is in the
-support exactly when some final-supported nonterminal derives it, so
-emptiness reduces to a productivity fixpoint.  Constraint satisfiability
-never enters the fixpoint: every equality class is one governing child
-plus sink copies, and the sink derives every tree, so any choice of
-governing subtrees extends to a constraint-satisfying tree.
+support exactly when some final-supported nonterminal derives it.  The
+elimination keeps only the nonterminals its bottom-up fixpoint reaches,
+so each of them derives some tree, and emptiness is read off the
+eliminated grammar: the support is empty iff none of its nonterminals
+has a nonzero final weight.  Constraint satisfiability never enters the
+fixpoint: every equality class is one governing child plus sink copies,
+and the sink derives every tree, so any choice of governing subtrees
+extends to a constraint-satisfying tree.
 
 Finiteness is a cycle check on the nonterminal dependency graph; a
 useful production whose equality class is governed by the sink itself
@@ -74,9 +77,7 @@ def productivity(g: Wtgc) -> ProductivityTable:
 def is_support_empty(g: Wtgc) -> bool:
     """True iff the grammar assigns a nonzero weight to no tree at all."""
     _require_decidable(g)
-    h = eliminate_zero_derivations(g)
-    table = productivity(h)
-    return not any(q in table.productive for q in h.final_support())
+    return not eliminate_zero_derivations(g).final_support()
 
 
 def is_support_finite(g: Wtgc) -> bool:
@@ -93,8 +94,9 @@ def finiteness_analysis(g: Wtgc) -> tuple[bool, str]:
     if er is None:
         raise DecisionError("preprocessing lost the eq-restriction")
     sink = er.sink
-    table = productivity(h)
-    useful = table.productive & table.reachable
+    # every nonterminal of h is productive, so the useful ones are the
+    # reachable ones
+    useful = productivity(h).reachable
 
     grows = g.alphabet.max_rank() >= 1
     edges: dict[str, set] = {}
@@ -102,8 +104,6 @@ def finiteness_analysis(g: Wtgc) -> tuple[bool, str]:
         if p.target == sink or p.target not in useful:
             continue
         dec = h.decompose(p)
-        if not all(state in table.productive for state in dec.states):
-            continue
         gp = er.governing[p]
         for i, state in enumerate(dec.states, start=1):
             if state == sink:

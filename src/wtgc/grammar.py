@@ -105,8 +105,10 @@ class Wtgc:
         self.nonterminals = frozenset(nonterminals)
         self.alphabet = alphabet
         self.semiring = semiring
-        self.final = {q: final.get(q, semiring.zero)
-                      for q in sorted(self.nonterminals)}
+        # undeclared keys stay in, after the declared ones, so that
+        # `validate` reports them
+        self.final = {q: semiring.zero for q in sorted(self.nonterminals)}
+        self.final.update(final)
         self.productions = tuple(sorted(
             set(productions), key=lambda p: production_str(p, semiring)))
         self._ids = None
@@ -192,33 +194,37 @@ def validate(g: Wtgc) -> list[str]:
         elif not s.contains(weight):
             out.append(f"final weight of {q!r} outside the carrier")
 
-    def check_lhs(node, pid):
-        if node.label in g.nonterminals:
-            if node.children:
-                out.append(f"{pid}: nonterminal {node.label!r} with children")
-        elif node.label in g.alphabet:
-            if len(node.children) != g.alphabet.rank(node.label):
-                out.append(f"{pid}: arity mismatch at {node.label!r}")
-            for c in node.children:
-                check_lhs(c, pid)
-        else:
-            out.append(f"{pid}: undeclared label {node.label!r}")
-
     for p in g.productions:
-        pid = production_str(p, s)
+        found = []
         if p.lhs.label in g.nonterminals and not p.lhs.children:
-            out.append(f"{pid}: lhs is a bare nonterminal")
-            continue
-        check_lhs(p.lhs, pid)
-        if (p.eq or p.ineq) and any(
-                i < 1 for pair in p.eq | p.ineq for w in pair for i in w):
-            out.append(f"{pid}: constraint position component below 1")
-        if p.target not in g.nonterminals:
-            out.append(f"{pid}: undeclared target {p.target!r}")
-        if not s.contains(p.weight):
-            out.append(f"{pid}: weight outside the carrier")
-        elif p.weight == s.zero:
-            out.append(f"{pid}: zero-weight production")
+            found.append("lhs is a bare nonterminal")
+        else:
+            stack = [p.lhs]
+            while stack:
+                node = stack.pop()
+                if node.label in g.nonterminals:
+                    if node.children:
+                        found.append(
+                            f"nonterminal {node.label!r} with children")
+                elif node.label in g.alphabet:
+                    if len(node.children) != g.alphabet.rank(node.label):
+                        found.append(f"arity mismatch at {node.label!r}")
+                    stack.extend(reversed(node.children))
+                else:
+                    found.append(f"undeclared label {node.label!r}")
+            if (p.eq or p.ineq) and any(
+                    i < 1 for pair in p.eq | p.ineq for w in pair for i in w):
+                found.append("constraint position component below 1")
+            if p.target not in g.nonterminals:
+                found.append(f"undeclared target {p.target!r}")
+            if not s.contains(p.weight):
+                found.append("weight outside the carrier")
+            elif p.weight == s.zero:
+                found.append("zero-weight production")
+        if found:
+            # spelled only here: the serialization is the slow part
+            pid = production_str(p, s)
+            out.extend(f"{pid}: {problem}" for problem in found)
     return out
 
 

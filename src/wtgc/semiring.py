@@ -1,15 +1,18 @@
 """Commutative semirings and semiring homomorphisms.
 
-Five weight structures are shipped: the Boolean semiring, the nonnegative
-integers, the tropical semiring (min, +), the arctic semiring (max, +),
-and the residues mod m.  All carriers are exact; the only non-integer
-values are the two infinities used as absorbing zeros by the tropical and
-arctic instances, so element comparison is plain ``==`` throughout.
+Five weight structures are shipped: the Boolean semiring, the residues
+mod m, and three instances of `NaturalsSemiring`: the nonnegative
+integers (+, *), the tropical semiring (min, +) and the arctic semiring
+(max, +), which differ only in their constants and builtin operations.
+All carriers are exact; the only non-integer values are the two
+infinities used as absorbing zeros by the tropical and arctic instances,
+so element comparison is plain ``==`` throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Callable
 
 from .errors import SemiringError
@@ -134,110 +137,46 @@ class BooleanSemiring(Semiring):
         return str(a)
 
 
-class NaturalSemiring(Semiring):
-    name = "nat"
-    zero = 0
-    one = 1
+class NaturalsSemiring(Semiring):
+    """A semiring on the naturals, possibly with an infinite zero
+    adjoined: `nat` is (N, +, *), `tropical` is (N u {inf}, min, +) and
+    `arctic` is (N u {-inf}, max, +).  The operations are builtins, and
+    the adjoined zero is the only literal that is not a digit string."""
+
     zero_sum_free = True
     zero_divisor_free = True
-    finite = False
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
+    def __init__(self, name, zero, one, sample, add, mul):
+        self.name = name
+        self.zero = zero
+        self.one = one
+        self._sample = sample
+        self.add = add
+        self.mul = mul
 
     def contains(self, a):
-        return isinstance(a, int) and a >= 0
+        if isinstance(a, int):
+            return a >= 0
+        # an adjoined infinite zero is the only element outside N
+        return self.zero != 0 and a == self.zero
 
     def sample(self):
-        return (0, 1, 2, 3, 5, 7)
+        return self._sample
 
     def power_profile(self, a):
-        if a == 0:
-            return (1, 1)
-        return (0, 1)
+        # the zero is absorbing; no other power is ever zero, so the
+        # rest take the trivial cap (see `Semiring.power_profile`)
+        return (1, 1) if a == self.zero else (0, 1)
 
     def parse(self, text):
         if text.isdigit():
             return int(text)
-        raise SemiringError(f"bad nat literal {text!r}")
+        if text == self.format(self.zero):
+            return self.zero
+        raise SemiringError(f"bad {self.name} literal {text!r}")
 
     def format(self, a):
         return str(a)
-
-
-class TropicalSemiring(Semiring):
-    """(N u {inf}, min, +): the zero is inf, the one is the integer 0."""
-
-    name = "tropical"
-    zero = INF
-    one = 0
-    zero_sum_free = True
-    zero_divisor_free = True
-    finite = False
-
-    def add(self, a, b):
-        return min(a, b)
-
-    def mul(self, a, b):
-        return a + b
-
-    def contains(self, a):
-        return a == INF or (isinstance(a, int) and a >= 0)
-
-    def sample(self):
-        return (INF, 0, 1, 2, 5)
-
-    def power_profile(self, a):
-        return (1, 1) if a == INF else (0, 1)
-
-    def parse(self, text):
-        if text == "inf":
-            return INF
-        if text.isdigit():
-            return int(text)
-        raise SemiringError(f"bad tropical literal {text!r}")
-
-    def format(self, a):
-        return "inf" if a == INF else str(a)
-
-
-class ArcticSemiring(Semiring):
-    """(N u {-inf}, max, +): the zero is -inf, the one is the integer 0."""
-
-    name = "arctic"
-    zero = NEG_INF
-    one = 0
-    zero_sum_free = True
-    zero_divisor_free = True
-    finite = False
-
-    def add(self, a, b):
-        return max(a, b)
-
-    def mul(self, a, b):
-        return a + b
-
-    def contains(self, a):
-        return a == NEG_INF or (isinstance(a, int) and a >= 0)
-
-    def sample(self):
-        return (NEG_INF, 0, 1, 2, 5)
-
-    def power_profile(self, a):
-        return (1, 1) if a == NEG_INF else (0, 1)
-
-    def parse(self, text):
-        if text == "-inf":
-            return NEG_INF
-        if text.isdigit():
-            return int(text)
-        raise SemiringError(f"bad arctic literal {text!r}")
-
-    def format(self, a):
-        return "-inf" if a == NEG_INF else str(a)
 
 
 def _is_prime(m: int) -> bool:
@@ -289,22 +228,18 @@ class IntegersMod(Semiring):
 
 
 BOOLEAN = BooleanSemiring()
-NATURAL = NaturalSemiring()
-TROPICAL = TropicalSemiring()
-ARCTIC = ArcticSemiring()
+NATURAL = NaturalsSemiring("nat", 0, 1, (0, 1, 2, 3, 5, 7), add, mul)
+TROPICAL = NaturalsSemiring("tropical", INF, 0, (INF, 0, 1, 2, 5), min, add)
+ARCTIC = NaturalsSemiring("arctic", NEG_INF, 0, (NEG_INF, 0, 1, 2, 5), max,
+                          add)
+_FIXED = {s.name: s for s in (BOOLEAN, NATURAL, TROPICAL, ARCTIC)}
 
 
 def semiring_from_name(text: str) -> Semiring:
     """Resolve a semiring literal such as ``arctic`` or ``zmod 4``."""
     parts = text.split()
-    if parts == ["boolean"]:
-        return BOOLEAN
-    if parts == ["nat"]:
-        return NATURAL
-    if parts == ["tropical"]:
-        return TROPICAL
-    if parts == ["arctic"]:
-        return ARCTIC
+    if len(parts) == 1 and parts[0] in _FIXED:
+        return _FIXED[parts[0]]
     if len(parts) == 2 and parts[0] == "zmod" and parts[1].isdigit():
         return IntegersMod(int(parts[1]))
     raise SemiringError(f"unknown semiring {text!r}")

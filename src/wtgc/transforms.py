@@ -18,7 +18,6 @@ and `STATE_CAP` bounds them all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
 
@@ -173,48 +172,6 @@ def boolean_finals(g: Wtgc) -> Wtgc:
 # -- elimination of zero-weight derivations --------------------------------
 
 
-@dataclass(frozen=True)
-class DicksonVector:
-    """Capped exponent profile of the non-unit production weights.
-
-    Addition is entrywise and saturates at the cap; by upward closure of
-    the zero set of the induced monoid map, saturation never turns a
-    zero product into a nonzero one.
-    """
-
-    exponents: tuple[int, ...]
-    cap: int
-
-    def oplus(self, other: "DicksonVector") -> "DicksonVector":
-        return DicksonVector(
-            tuple(min(a + b, self.cap)
-                  for a, b in zip(self.exponents, other.exponents)),
-            self.cap)
-
-
-def _zero_setup(g: Wtgc):
-    s = g.semiring
-    weights = sorted({p.weight for p in g.productions if p.weight != s.one},
-                     key=s.format)
-    if s.zero_divisor_free:
-        # products of nonzero elements stay nonzero, so any cap is sound
-        cap = 0
-    else:
-        cap = max((sum(s.power_profile(w)) for w in weights), default=0)
-    index = {w: i for i, w in enumerate(weights)}
-
-    def unit(weight) -> DicksonVector:
-        exps = [0] * len(weights)
-        if weight in index:
-            exps[index[weight]] = min(1, cap)
-        return DicksonVector(tuple(exps), cap)
-
-    def value(vec: DicksonVector):
-        return s.prod(s.power(w, e) for w, e in zip(weights, vec.exponents))
-
-    return unit, value
-
-
 def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
     """Equivalent grammar in which every complete derivation has nonzero
     weight.
@@ -224,26 +181,39 @@ def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
     whose tracked product hits zero are never created.  Only pairs
     reachable bottom-up are materialized, which also keeps the sink of
     an eq-restricted input a sink.
+
+    The exponent vectors are plain tuples; they add entrywise and
+    saturate at the cap.  The vectors whose product is zero form an
+    upward closed set (a zero times anything is zero), so saturation
+    never turns a zero product into a nonzero one.  Over a zero-divisor
+    free semiring no product of nonzero weights is zero, so the cap is 0
+    and every vector is all zeros.
     """
     s = g.semiring
-    unit, value = _zero_setup(g)
-    value_cache: dict[DicksonVector, object] = {}
-
-    def nonzero(vec):
-        if vec not in value_cache:
-            value_cache[vec] = value(vec)
-        return value_cache[vec] != s.zero
+    weights = sorted({p.weight for p in g.productions if p.weight != s.one},
+                     key=s.format)
+    if s.zero_divisor_free:
+        cap = 0
+    else:
+        cap = max((sum(s.power_profile(w)) for w in weights), default=0)
+    units = {w: tuple(min(1, cap) if i == j else 0
+                      for j in range(len(weights)))
+             for i, w in enumerate(weights)}
+    zeros = (0,) * len(weights)
+    nonzero: dict[tuple, bool] = {}
 
     names = Names(g.alphabet.names(), lambda key: (
-        f"{key[0]}#[{'.'.join(str(e) for e in key[1].exponents)}]"))
+        f"{key[0]}#[{'.'.join(map(str, key[1]))}]"))
     decs = {p: g.decompose(p) for p in g.productions}
     productions = set()
 
     def fire(p, combo):
-        vec = unit(p.weight)
-        for child in combo:
-            vec = vec.oplus(child)
-        if not nonzero(vec):
+        vec = tuple(min(sum(exps), cap)
+                    for exps in zip(units.get(p.weight, zeros), *combo))
+        if vec not in nonzero:
+            nonzero[vec] = s.prod(
+                s.power(w, e) for w, e in zip(weights, vec)) != s.zero
+        if not nonzero[vec]:
             return ()
         dec = decs[p]
         lhs = replace(p.lhs, {w: leaf(names[(state, child)])
@@ -369,7 +339,7 @@ def _check_compatible(g: Wtgc, g2: Wtgc):
 
 
 def _state_name(state: tuple, order: tuple, target: Semiring) -> str:
-    if target is BOOLEAN or target.name == "boolean":
+    if target == BOOLEAN:
         members = [q for q, v in zip(order, state) if v == 1]
         return f"set[{'.'.join(members)}]"
     inner = ".".join(f"{q}:{target.format(v)}" for q, v in zip(order, state))

@@ -98,16 +98,21 @@ class Tree:
 
     def __init__(self, label: str, children=()):
         self.label = label
-        self.children = tuple(children)
+        self.children = children = tuple(children)
+        if not children:
+            self.size = 1
+            self.height = 0
+            self._hash = hash((label, ()))
+            return
         size = 1
         height = 0
-        for c in self.children:
+        for c in children:
             size += c.size
             if c.height + 1 > height:
                 height = c.height + 1
         self.size = size
         self.height = height
-        self._hash = hash((label, tuple(c._hash for c in self.children)))
+        self._hash = hash((label, tuple(c._hash for c in children)))
 
     def __eq__(self, other):
         if self is other:
@@ -265,7 +270,6 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-# per alphabet, the trees of each size and their serialized forms
 # per alphabet, the trees of each size and their serialized forms
 _ENUM_CACHE: dict[RankedAlphabet, tuple[list, list]] = {}
 _ENUM_LOCK = threading.Lock()

@@ -14,6 +14,7 @@ from wtgc.grammar import Production, Wtgc, classify
 from wtgc.pumping import grammar_height, separation_family
 from wtgc.semantics import evaluate
 from wtgc.semiring import ARCTIC, NATURAL, IntegersMod
+from wtgc.transforms import eliminate_zero_derivations
 from wtgc.trees import RankedAlphabet, enumerate_trees, leaf, term_str
 from wtgc import trees
 
@@ -69,6 +70,18 @@ def test_productivity_table(fx4):
     table = productivity(fx4)
     assert table.productive == {"q", "bot"}
     assert table.reachable == {"q", "bot"}
+
+
+def test_elimination_keeps_only_productive_nonterminals(
+        fx1, fx2g, fx2gp, fx3, fx4, fx5, fx6):
+    # the support decisions rely on this: emptiness is read off the
+    # eliminated grammar's final weights without a productivity check
+    grammars = [fx1, fx2g, fx2gp, fx3, fx4, fx5, fx6]
+    grammars += [random_wtgc(seed) for seed in range(200)]
+    grammars += [random_eq_restricted(seed) for seed in range(300)]
+    for g in grammars:
+        h = eliminate_zero_derivations(g)
+        assert productivity(h).productive == h.nonterminals
 
 
 def test_rejects_out_of_class_grammars(fx1, fx5, fx6):

@@ -11,8 +11,8 @@ from wtgc.grammar import (
     production_str,
     validate,
 )
-from wtgc.semiring import ARCTIC, NATURAL
-from wtgc.trees import RankedAlphabet, leaf, positions, subtree
+from wtgc.semiring import ARCTIC, NATURAL, TROPICAL
+from wtgc.trees import RankedAlphabet, Tree, leaf, positions, subtree
 
 ABC = RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
 
@@ -49,6 +49,57 @@ def test_validate_position_components_from_one():
                  base + [Production(fqq, "q", 1, eq, ineq)], NATURAL)
     Wtgc({"q"}, abf, {"q": 1},
          base + [Production(fqq, "q", 1, [((1,), (2,))])], NATURAL)
+
+
+def test_final_weight_for_undeclared_nonterminal_raises():
+    with pytest.raises(GrammarError,
+                       match="final weight for undeclared nonterminal 'zz'"):
+        Wtgc({"q"}, ABC, {"q": 1, "zz": 5},
+             [Production(leaf("alpha"), "q", 1)], NATURAL)
+
+
+def test_validate_diagnostics():
+    # every diagnostic of `validate`, built through the API, with the
+    # whole message; the last case reports three problems of one
+    # production, each under its serialized form
+    a = Production(leaf("alpha"), "q", 1)
+    cases = [
+        ({"q", "x1"}, {}, [a], NATURAL, "bad nonterminal name 'x1'"),
+        ({"q", "gamma"}, {}, [a], NATURAL,
+         "name 'gamma' is both a nonterminal and a symbol"),
+        ({"q"}, {"q": 1, "zz": 5}, [a], NATURAL,
+         "final weight for undeclared nonterminal 'zz'"),
+        ({"q"}, {"q": -1}, [a], NATURAL,
+         "final weight of 'q' outside the carrier"),
+        ({"q", "r"}, {}, [Production(leaf("q"), "r", 1)], NATURAL,
+         "q -> r @ 1: lhs is a bare nonterminal"),
+        ({"q"}, {}, [a, Production(t("gamma", t("q", leaf("alpha"))),
+                                   "q", 1)], NATURAL,
+         "gamma(q(alpha)) -> q @ 1: nonterminal 'q' with children"),
+        ({"q"}, {}, [Production(t("sigma", leaf("q")), "q", 1)], NATURAL,
+         "sigma(q) -> q @ 1: arity mismatch at 'sigma'"),
+        ({"q"}, {}, [Production(t("gamma", leaf("beta")), "q", 1)], NATURAL,
+         "gamma(beta) -> q @ 1: undeclared label 'beta'"),
+        ({"q"}, {}, [a, Production(t("sigma", leaf("q"), leaf("q")), "q", 1,
+                                   [((0,), (2,))])], NATURAL,
+         "sigma(q,q) -> q [eq 0=2] @ 1: constraint position component "
+         "below 1"),
+        ({"q"}, {}, [Production(leaf("alpha"), "r", 1)], NATURAL,
+         "alpha -> r @ 1: undeclared target 'r'"),
+        ({"q"}, {}, [Production(leaf("alpha"), "q", 2.5)], NATURAL,
+         "alpha -> q @ 2.5: weight outside the carrier"),
+        ({"q"}, {}, [Production(leaf("alpha"), "q", float("inf"))], TROPICAL,
+         "alpha -> q @ inf: zero-weight production"),
+        ({"q"}, {}, [Production(Tree("gamma", [leaf("beta")]), "r", 0)],
+         NATURAL,
+         "gamma(beta) -> r @ 0: undeclared label 'beta'; "
+         "gamma(beta) -> r @ 0: undeclared target 'r'; "
+         "gamma(beta) -> r @ 0: zero-weight production"),
+    ]
+    for nonterminals, final, productions, s, message in cases:
+        with pytest.raises(GrammarError) as exc:
+            Wtgc(nonterminals, ABC, final, productions, s)
+        assert str(exc.value) == message
 
 
 def _prod(g, text):

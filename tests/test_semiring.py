@@ -137,3 +137,86 @@ def test_element_literals():
         ZMOD4.parse("4")
     with pytest.raises(SemiringError):
         NATURAL.parse("-1")
+
+
+INF = float("inf")
+
+
+def test_naturals_behaviour_table():
+    # contains on 0, 0.0, True, False, -1, 3, 2.5, inf, -inf; nat keeps
+    # rejecting floats, and only the adjoined zero is an infinity
+    values = (0, 0.0, True, False, -1, 3, 2.5, INF, NEG_INF)
+    contains = {
+        NATURAL: (1, 0, 1, 1, 0, 1, 0, 0, 0),
+        TROPICAL: (1, 0, 1, 1, 0, 1, 0, 1, 0),
+        ARCTIC: (1, 0, 1, 1, 0, 1, 0, 0, 1),
+    }
+    texts = ("0", "5", "007", "inf", "-inf", "Inf", "-1", "")
+    parsed = {
+        NATURAL: (0, 5, 7, None, None, None, None, None),
+        TROPICAL: (0, 5, 7, INF, None, None, None, None),
+        ARCTIC: (0, 5, 7, None, NEG_INF, None, None, None),
+    }
+    formatted = {"0": "0", "5": "5", "007": "7", "inf": "inf",
+                 "-inf": "-inf"}
+    for s in (NATURAL, TROPICAL, ARCTIC):
+        assert [int(s.contains(a)) for a in values] == list(contains[s])
+        for text, want in zip(texts, parsed[s]):
+            if want is None:
+                with pytest.raises(SemiringError,
+                                   match=f"bad {s.name} literal"):
+                    s.parse(text)
+                continue
+            got = s.parse(text)
+            assert got == want and type(got) is type(want)
+            assert s.format(got) == formatted[text]
+
+
+TROPICAL_GRAMMAR = """semiring tropical
+alphabet alpha:0 gamma:1 sigma:2
+nonterminals q r bot
+final r = 5
+prod alpha -> q @ 1
+prod alpha -> q @ 3
+prod gamma(q) -> q @ 2
+prod sigma(q,bot) -> r [eq 1=2] @ 0
+prod alpha -> bot @ 0
+prod gamma(bot) -> bot @ 0
+prod sigma(bot,bot) -> bot @ 0
+"""
+
+
+def test_tropical_grammar_end_to_end():
+    from wtgc.decision import finiteness_analysis, is_support_empty
+    from wtgc.semantics import evaluate
+    from wtgc.syntax import parse_grammar, parse_term, serialize_grammar
+
+    g = parse_grammar(TROPICAL_GRAMMAR)
+    assert g.semiring == TROPICAL and g.final["q"] == INF
+
+    def weigh(text):
+        return evaluate(g, parse_term(text, g.alphabet))
+
+    # gamma^n(alpha) costs min(1, 3) + 2n as q, the sink costs 0, and
+    # the final weight of r adds 5; unequal children or a tree rooted at
+    # q cost the zero, inf
+    for n in range(4):
+        u = "gamma(" * n + "alpha" + ")" * n
+        assert weigh(f"sigma({u},{u})") == 6 + 2 * n
+    assert weigh("sigma(gamma(alpha),alpha)") == INF
+    assert weigh("gamma(alpha)") == INF
+
+    text = serialize_grammar(g)
+    assert "final q" not in text and "final r = 5" in text
+    assert parse_grammar(text) == g
+
+    assert not is_support_empty(g)
+    assert finiteness_analysis(g) == (
+        False, "cycle: q#[0.0.0] -> q#[0.0.0]")
+    empty = parse_grammar(TROPICAL_GRAMMAR.replace("r = 5", "r = inf"))
+    assert is_support_empty(empty)
+    assert finiteness_analysis(empty) == (True, "no productive cycle")
+    finite = parse_grammar(TROPICAL_GRAMMAR.replace(
+        "prod gamma(q) -> q @ 2\n", ""))
+    assert not is_support_empty(finite)
+    assert finiteness_analysis(finite) == (True, "no productive cycle")

@@ -105,6 +105,16 @@ def test_deep_trees_compare_without_recursion():
     assert len(positions(a)) == 5001
 
 
+def test_hash_is_label_and_children_hashes():
+    # leaves take a short cut that must give the same hash
+    for label in ("alpha", "c0", "q#[1.0]"):
+        assert hash(leaf(label)) == hash((label, ()))
+        assert hash(Tree(label, [])) == hash((label, ()))
+    gx = t("g", ALPHA)
+    assert hash(gx) == hash(("g", (hash(ALPHA),)))
+    assert hash(t("f", gx, ALPHA)) == hash(("f", (hash(gx), hash(ALPHA))))
+
+
 def test_height_and_size():
     assert (ALPHA.height, ALPHA.size) == (0, 1)  # max |w| over one position
     assert (EX1_TREE.height, EX1_TREE.size) == (3, 6)
