@@ -4,6 +4,13 @@ One command per run: evaluation, derivation dumps, the grammar
 transforms, image construction, pumping, the support decisions, and a
 fixture-driven oracle battery.  Weights always print in semiring-literal
 syntax, and output is byte-deterministic for fixed inputs.
+
+`build_parser` reads one table of (name, handler, help, arguments) rows,
+in which arguments shared by several commands are declared once.  Each
+handler takes the parsed arguments and the `--grammar` grammar, if any.
+A construction returns its output and the weight it must give each tree;
+`main` compares the two up to `--oracle-size` and writes the output.
+The other commands print their result and return the exit code.
 """
 
 from __future__ import annotations
@@ -16,13 +23,7 @@ from pathlib import Path
 
 from . import decision, pumping, semantics, transforms
 from .errors import WtgcError
-from .grammar import Wtgc
-from .homomorphism import (
-    TreeHom,
-    image_grammar,
-    image_weight_oracle,
-    relabeling_hom,
-)
+from .homomorphism import image_grammar, image_weight_oracle, relabeling_hom
 from .semiring import identity_hom, support_hom
 from .syntax import parse_grammar, parse_hom, parse_term, serialize_grammar
 from .trees import enumerate_trees, pos_str, term_str
@@ -30,35 +31,30 @@ from .trees import enumerate_trees, pos_str, term_str
 ORACLE_SIZE_CAP = 12
 
 
-def _load_grammar(path: str) -> Wtgc:
-    return parse_grammar(Path(path).read_text())
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise WtgcError(f"cannot read {path!r}: {reason}") from None
 
 
-def _load_hom(path: str, source=None) -> TreeHom:
-    return parse_hom(Path(path).read_text(), source)
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise WtgcError(
+            f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _tree_for(g: Wtgc, text: str):
-    return parse_term(text, g.alphabet)
-
-
-def _emit_weight(g: Wtgc, weight, fmt: str):
+def _emit_weight(g, weight, fmt: str):
     literal = g.semiring.format(weight)
-    if fmt == "json":
-        print(json.dumps({"weight": literal}))
-    else:
-        print(literal)
-
-
-def _write_grammar(g: Wtgc, out: str | None):
-    text = serialize_grammar(g)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    print(json.dumps({"weight": literal}) if fmt == "json" else literal)
 
 
 def _oracle_size(value: int) -> int:
+    if value < 1:
+        raise WtgcError(f"oracle size {value} is below 1")
     if value > ORACLE_SIZE_CAP:
         raise WtgcError(
             f"oracle size {value} exceeds the cap {ORACLE_SIZE_CAP}")
@@ -74,34 +70,34 @@ def _oracle(alphabet, size: int, expected, actual) -> None:
             raise WtgcError(f"oracle mismatch on {term_str(t)}: {a} != {b}")
 
 
-def _relabel_map(entries: list[str], map_file: str | None,
-                 g: Wtgc) -> dict:
+def _relabel_map(args, g) -> dict:
+    """The relabeling of `--map-file` then `--map`, identity elsewhere."""
+    entries = []
+    if args.map_file is not None:
+        lines = (raw.split("#", 1)[0].strip()
+                 for raw in _read(args.map_file).splitlines())
+        entries = [line for line in lines if line]
     mapping = {}
-    if map_file is not None:
-        for raw in Path(map_file).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                entries = [line] + list(entries)
-    for entry in entries:
+    for entry in entries + (args.map or []):
         if "=" not in entry:
             raise WtgcError(f"bad relabel entry {entry!r} (want old=new)")
-        old, new = entry.split("=", 1)
-        mapping[old.strip()] = new.strip()
+        old, new = (part.strip() for part in entry.split("=", 1))
+        if old in mapping:
+            raise WtgcError(f"symbol {old!r} relabeled twice")
+        mapping[old] = new
     for name in g.alphabet.names():
         mapping.setdefault(name, name)
     return mapping
 
 
-def cmd_eval(args):
-    g = _load_grammar(args.grammar)
-    t = _tree_for(g, args.tree)
+def cmd_eval(args, g):
+    t = parse_term(args.tree, g.alphabet)
     _emit_weight(g, semantics.evaluate(g, t), args.format)
     return 0
 
 
-def cmd_derivs(args):
-    g = _load_grammar(args.grammar)
-    t = _tree_for(g, args.tree)
+def cmd_derivs(args, g):
+    t = parse_term(args.tree, g.alphabet)
     targets = [args.target] if args.target else list(g.final_support())
     for q in targets:
         for d in semantics.derivations(g, t, q):
@@ -119,71 +115,35 @@ _TRANSFORMS = {
 }
 
 
-def cmd_transform(args):
-    g = _load_grammar(args.grammar)
-    if args.name == "relabel":
-        mapping = _relabel_map(args.map or [], args.map_file, g)
-        out = transforms.relabel(g, mapping)
-        h = relabeling_hom(g.alphabet, mapping, out.alphabet)
-        return _finish(args, out, partial(image_weight_oracle, h, g))
-    if args.name not in _TRANSFORMS:
-        raise WtgcError(f"unknown transform {args.name!r}")
-    out = _TRANSFORMS[args.name](g)
-    return _finish(args, out, partial(semantics.evaluate, g))
+def cmd_transform(args, g):
+    if args.name != "relabel":
+        return _TRANSFORMS[args.name](g), partial(semantics.evaluate, g)
+    mapping = _relabel_map(args, g)
+    out = transforms.relabel(g, mapping)
+    h = relabeling_hom(g.alphabet, mapping, out.alphabet)
+    return out, partial(image_weight_oracle, h, g)
 
 
-def _finish(args, out: Wtgc, expected) -> int:
-    """Check `out` against the expected weights if asked, then write it."""
-    if args.oracle_size:
-        _oracle(out.alphabet, args.oracle_size, expected,
-                partial(semantics.evaluate, out))
-    _write_grammar(out, args.out)
-    return 0
+def cmd_pointwise(construct, combine, args, g):
+    """A construction of two grammars whose weight is `combine` of the
+    semiring and the two inputs' weights."""
+    g2 = parse_grammar(_read(args.grammar2))
+    return construct(g, g2), lambda t: combine(
+        g.semiring, semantics.evaluate(g, t), semantics.evaluate(g2, t))
 
 
-def cmd_union(args):
-    g = _load_grammar(args.grammar)
-    g2 = _load_grammar(args.grammar2)
-    out = transforms.disjoint_union(g, g2)
-    return _finish(args, out, lambda t: g.semiring.add(
-        semantics.evaluate(g, t), semantics.evaluate(g2, t)))
-
-
-def cmd_product(args):
-    g = _load_grammar(args.grammar)
-    g2 = _load_grammar(args.grammar2)
-    out = transforms.hadamard(g, g2)
-    return _finish(args, out, lambda t: g.semiring.mul(
-        semantics.evaluate(g, t), semantics.evaluate(g2, t)))
-
-
-def cmd_support(args):
-    g = _load_grammar(args.grammar)
+def cmd_support(args, g):
     out = (transforms.support_automaton(g) if args.unambiguous
            else transforms.support_grammar(g))
-    return _finish(args, out, lambda t: int(
-        semantics.evaluate(g, t) != g.semiring.zero))
+    return out, lambda t: int(semantics.evaluate(g, t) != g.semiring.zero)
 
 
-def cmd_complement(args):
-    g = _load_grammar(args.grammar)
-    out = transforms.complement_support(g)
-    return _finish(args, out, lambda t: int(
-        semantics.evaluate(g, t) == g.semiring.zero))
+def cmd_complement(args, g):
+    return transforms.complement_support(g), lambda t: int(
+        semantics.evaluate(g, t) == g.semiring.zero)
 
 
-def cmd_restrict(args):
-    g = _load_grammar(args.grammar)
-    g2 = _load_grammar(args.grammar2)
-    out = transforms.restrict_support(g, g2)
-    return _finish(args, out, lambda t: (
-        semantics.evaluate(g, t)
-        if semantics.evaluate(g2, t) != g2.semiring.zero
-        else g.semiring.zero))
-
-
-def cmd_disambiguate(args):
-    g = _load_grammar(args.grammar)
+def cmd_disambiguate(args, g):
     hom = (identity_hom(g.semiring) if args.hom == "identity"
            else support_hom(g.semiring))
     out = transforms.disambiguate(g, hom)
@@ -192,44 +152,39 @@ def cmd_disambiguate(args):
             out, _oracle_size(args.oracle_size))
         if witness is not None:
             raise WtgcError(f"ambiguous on {term_str(witness)}")
-    return _finish(args, out, lambda t: hom(semantics.evaluate(g, t)))
+    return out, lambda t: hom(semantics.evaluate(g, t))
 
 
-def cmd_image(args):
-    g = _load_grammar(args.grammar)
-    h = _load_hom(args.hom, g.alphabet)
-    out = image_grammar(transforms.normalize(g), h)
-    return _finish(args, out, partial(image_weight_oracle, h, g))
+def cmd_image(args, g):
+    h = parse_hom(_read(args.hom), g.alphabet)
+    return (image_grammar(transforms.normalize(g), h),
+            partial(image_weight_oracle, h, g))
 
 
-def cmd_image_eval(args):
-    g = _load_grammar(args.grammar)
-    h = _load_hom(args.hom, g.alphabet)
+def cmd_image_eval(args, g):
+    h = parse_hom(_read(args.hom), g.alphabet)
     u = parse_term(args.tree, h.target)
     _emit_weight(g, image_weight_oracle(h, g, u), args.format)
     return 0
 
 
-def cmd_pump(args):
-    g = _load_grammar(args.grammar)
+def cmd_pump(args, g):
     prepared = transforms.eliminate_zero_derivations(
         pumping.ensure_nonbot_child(g))
-    t = _tree_for(prepared, args.tree)
+    t = parse_term(args.tree, prepared.alphabet)
     base = pumping.base_derivation(prepared, t)
     for pumped_tree, _ in pumping.pump(prepared, t, base, args.count):
         print(term_str(pumped_tree))
     return 0
 
 
-def cmd_separation(args):
-    t, tp = pumping.separation_family(args.n)
-    print(term_str(t))
-    print(term_str(tp))
+def cmd_separation(args, g):
+    for t in pumping.separation_family(args.n):
+        print(term_str(t))
     return 0
 
 
-def cmd_decide(args):
-    g = _load_grammar(args.grammar)
+def cmd_decide(args, g):
     if args.property == "empty":
         verdict = decision.is_support_empty(g)
         print("empty" if verdict else "nonempty")
@@ -245,7 +200,7 @@ def cmd_decide(args):
     return 0 if verdict else 1
 
 
-def cmd_oracle(args):
+def cmd_oracle(args, g):
     size = _oracle_size(args.size)
     fixtures = Path(args.fixtures)
     failures = 0
@@ -255,7 +210,7 @@ def cmd_oracle(args):
             print(f"{name}: MISSING")
             failures += 1
             continue
-        g = _load_grammar(str(path))
+        g = parse_grammar(_read(str(path)))
         states = sorted(g.nonterminals)
         failures += not _passes(
             f"{name} derivation-sum", _oracle, g.alphabet, size,
@@ -270,8 +225,8 @@ def cmd_oracle(args):
                     g.alphabet, size, partial(semantics.evaluate, g),
                     partial(semantics.evaluate, _TRANSFORMS[label](g))))
     if (fixtures / "fx3.wtg").exists() and (fixtures / "fx3.hom").exists():
-        g = _load_grammar(str(fixtures / "fx3.wtg"))
-        h = _load_hom(str(fixtures / "fx3.hom"), g.alphabet)
+        g = parse_grammar(_read(str(fixtures / "fx3.wtg")))
+        h = parse_hom(_read(str(fixtures / "fx3.hom")), g.alphabet)
         out = image_grammar(transforms.normalize(g), h)
         failures += not _passes(
             "fx3 image-oracle", _oracle, out.alphabet, size,
@@ -292,94 +247,67 @@ def _passes(label: str, check, *args) -> bool:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # (flag, add_argument keywords), in the order argparse's messages use
+    grammar = ("--grammar", dict(required=True))
+    grammar2 = ("--grammar2", dict(required=True))
+    tree = ("--tree", dict(required=True))
+    fmt = ("--format", dict(choices=("text", "json"), default="text"))
+    hom = ("--hom", dict(required=True))
+    output = [("--out", {}), ("--oracle-size", dict(type=int, default=0))]
+    pointwise = [grammar, grammar2, *output]
+    commands = [
+        ("eval", cmd_eval, "evaluate a tree", [grammar, tree, fmt]),
+        ("derivs", cmd_derivs, "print complete left-most derivations",
+         [grammar, tree, ("--target", {})]),
+        ("transform", cmd_transform, "apply a unary transform", [
+            ("name", dict(choices=sorted(_TRANSFORMS) + ["relabel"])),
+            grammar, *output,
+            ("--map", dict(nargs="*", help="relabel entries old=new")),
+            ("--map-file",
+             dict(help="file of relabel entries, one per line"))]),
+        ("union", partial(cmd_pointwise, transforms.disjoint_union,
+                          lambda s, a, b: s.add(a, b)),
+         "sum of two grammars' weights", pointwise),
+        ("product", partial(cmd_pointwise, transforms.hadamard,
+                            lambda s, a, b: s.mul(a, b)),
+         "product of two grammars' weights", pointwise),
+        ("restrict", partial(cmd_pointwise, transforms.restrict_support,
+                             lambda s, a, b: a if b != s.zero else s.zero),
+         "first grammar's weights on the second's support", pointwise),
+        ("support", cmd_support, "support grammar or automaton",
+         [grammar, ("--unambiguous", dict(action="store_true")), *output]),
+        ("complement", cmd_complement, "complement of the support",
+         [grammar, *output]),
+        ("disambiguate", cmd_disambiguate,
+         "semiring hom of the weights, one derivation per tree",
+         [grammar, ("--hom", dict(choices=("support", "identity"),
+                                  default="support")), *output]),
+        ("image", cmd_image, "constrained grammar for a hom image",
+         [grammar, hom, *output]),
+        ("image-eval", cmd_image_eval, "brute-force image weight of a tree",
+         [grammar, hom, tree, fmt]),
+        ("pump", cmd_pump, "grow an accepted tree",
+         [grammar, tree, ("--count", dict(type=int, default=3))]),
+        ("separation", cmd_separation, "print the witness family pair",
+         [("--n", dict(type=int, required=True))]),
+        ("decide", cmd_decide, "support emptiness/finiteness of an "
+         "eq-restricted grammar (inputs that are not homomorphic images "
+         "are accepted as an extension)",
+         [("property", dict(choices=("empty", "finite"))), grammar,
+          ("--explain", dict(action="store_true"))]),
+        ("oracle", cmd_oracle, "fixture cross-check battery",
+         [("--fixtures", dict(default="fixtures")),
+          ("--size", dict(type=int, default=6))]),
+    ]
     parser = argparse.ArgumentParser(
         prog="wtgc",
         description="weighted tree grammars with subtree constraints")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, fn, help_line, arguments in commands:
+        p = sub.add_parser(name, help=help_line)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("eval", cmd_eval, help="evaluate a tree")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = add("derivs", cmd_derivs, help="print complete left-most derivations")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--target")
-
-    p = add("transform", cmd_transform, help="apply a unary transform")
-    p.add_argument("name", choices=sorted(_TRANSFORMS) + ["relabel"])
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--out")
-    p.add_argument("--oracle-size", type=int, default=0)
-    p.add_argument("--map", nargs="*", help="relabel entries old=new")
-    p.add_argument("--map-file", help="file of relabel entries, one per line")
-
-    for name, fn in (("union", cmd_union), ("product", cmd_product),
-                     ("restrict", cmd_restrict)):
-        p = add(name, fn)
-        p.add_argument("--grammar", required=True)
-        p.add_argument("--grammar2", required=True)
-        p.add_argument("--out")
-        p.add_argument("--oracle-size", type=int, default=0)
-
-    p = add("support", cmd_support, help="support grammar or automaton")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--unambiguous", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--oracle-size", type=int, default=0)
-
-    p = add("complement", cmd_complement, help="complement of the support")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--out")
-    p.add_argument("--oracle-size", type=int, default=0)
-
-    p = add("disambiguate", cmd_disambiguate)
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--hom", choices=("support", "identity"),
-                   default="support")
-    p.add_argument("--out")
-    p.add_argument("--oracle-size", type=int, default=0)
-
-    p = add("image", cmd_image, help="constrained grammar for a hom image")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--hom", required=True)
-    p.add_argument("--out")
-    p.add_argument("--oracle-size", type=int, default=0)
-
-    p = add("image-eval", cmd_image_eval,
-            help="brute-force image weight of a tree")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--hom", required=True)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = add("pump", cmd_pump, help="grow an accepted tree")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--count", type=int, default=3)
-
-    p = add("separation", cmd_separation,
-            help="print the witness family pair")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("decide", cmd_decide,
-            help="support emptiness/finiteness of an eq-restricted "
-                 "grammar (inputs that are not homomorphic images are "
-                 "accepted as an extension)")
-    p.add_argument("property", choices=("empty", "finite"))
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--explain", action="store_true")
-
-    p = add("oracle", cmd_oracle, help="fixture cross-check battery")
-    p.add_argument("--fixtures", default="fixtures")
-    p.add_argument("--size", type=int, default=6)
-
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -389,10 +317,23 @@ def main(argv=None) -> int:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         try:
-            return args.fn(args)
+            g = (parse_grammar(_read(args.grammar)) if "grammar" in args
+                 else None)
+            result = args.fn(args, g)
+            if "out" not in args:
+                return result
+            out, expected = result
+            if args.oracle_size:
+                _oracle(out.alphabet, args.oracle_size, expected,
+                        partial(semantics.evaluate, out))
+            text = serialize_grammar(out)
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
+                _write(args.out, text)
+            return 0
         except WtgcError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

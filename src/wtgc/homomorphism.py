@@ -21,12 +21,11 @@ from .trees import (
     Tree,
     is_variable,
     leaf,
-    positions,
     replace,
     substitute,
-    subtree,
     term_str,
     variable,
+    walk,
 )
 
 
@@ -44,22 +43,11 @@ class TreeHom:
                 raise HomomorphismError(f"no image for {name!r}")
             _check_rhs(self.rhs[name], rank, self.target)
 
-    def variables_of(self, name: str) -> set[str]:
-        out = set()
-
-        def walk(t):
-            if not t.children and is_variable(t.label):
-                out.add(t.label)
-            for c in t.children:
-                walk(c)
-
-        walk(self.rhs[name])
-        return out
-
     @cached_property
     def nondeleting(self) -> bool:
         return all(
-            self.variables_of(name) ==
+            {node.label for _, node in walk(self.rhs[name])
+             if not node.children and is_variable(node.label)} ==
             {variable(i + 1) for i in range(rank)}
             for name, rank in self.source.symbols())
 
@@ -70,17 +58,15 @@ class TreeHom:
 
 
 def _check_rhs(t: Tree, rank: int, target: RankedAlphabet):
-    if not t.children and is_variable(t.label):
-        index = int(t.label[1:])
-        if index > rank:
-            raise HomomorphismError(f"variable {t.label} out of range")
-        return
-    if t.label not in target:
-        raise HomomorphismError(f"undeclared target symbol {t.label!r}")
-    if target.rank(t.label) != len(t.children):
-        raise HomomorphismError(f"arity mismatch at {t.label!r}")
-    for c in t.children:
-        _check_rhs(c, rank, target)
+    for _, node in walk(t):
+        if not node.children and is_variable(node.label):
+            if int(node.label[1:]) > rank:
+                raise HomomorphismError(f"variable {node.label} out of range")
+        elif node.label not in target:
+            raise HomomorphismError(
+                f"undeclared target symbol {node.label!r}")
+        elif target.rank(node.label) != len(node.children):
+            raise HomomorphismError(f"arity mismatch at {node.label!r}")
 
 
 def relabeling_hom(source: RankedAlphabet, pi: dict,
@@ -187,15 +173,14 @@ def hom_image_stage_one(g: Wtgc, h: TreeHom) -> Wtgc:
     for p in g.productions:
         dec = g.decompose(p)
         u = h.rhs[p.lhs.label]
-        occurrences: dict[str, list] = {}
-        for w in positions(u):
-            label = subtree(u, w).label
-            if is_variable(label):
-                occurrences.setdefault(label, []).append(w)
+        occurrences: dict[str, list] = {}  # in lexicographic order
+        for w, node in walk(u):
+            if is_variable(node.label):
+                occurrences.setdefault(node.label, []).append(w)
         constraints = set()
         assignment = {}
         for i, state in enumerate(dec.states, start=1):
-            occ = sorted(occurrences[variable(i)])
+            occ = occurrences[variable(i)]
             assignment[occ[0]] = leaf(state)
             for w in occ[1:]:
                 assignment[w] = leaf(bot)

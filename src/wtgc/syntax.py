@@ -29,6 +29,7 @@ from .trees import (
     is_variable,
     parse_pos,
     term_str,
+    walk,
 )
 
 # every token of a term in one `findall`: names and punctuation, plus an
@@ -261,28 +262,20 @@ def parse_hom(text: str, source: RankedAlphabet | None = None) -> TreeHom:
                                  allow_variables=True, line=lineno)
     if not saw_header:
         raise ParseError("homomorphism files start with `hom`")
-
-    def max_var(t: Tree) -> int:
-        if not t.children and is_variable(t.label):
-            return int(t.label[1:])
-        return max((max_var(c) for c in t.children), default=0)
-
-    if source is None:
-        source = RankedAlphabet({name: max_var(rhs)
-                                 for name, rhs in rules.items()})
+    # a source symbol's rank is its highest variable index
+    source_ranks: dict[str, int] = {}
     target_ranks: dict[str, int] = {}
-
-    def collect(t: Tree):
-        if not t.children and is_variable(t.label):
-            return
-        if target_ranks.setdefault(t.label, len(t.children)) \
-                != len(t.children):
-            raise ParseError(f"inconsistent rank for {t.label!r}")
-        for c in t.children:
-            collect(c)
-
-    for rhs in rules.values():
-        collect(rhs)
+    for name, rhs in rules.items():
+        source_ranks[name] = 0
+        for _, node in walk(rhs):
+            arity = len(node.children)
+            if not arity and is_variable(node.label):
+                source_ranks[name] = max(source_ranks[name],
+                                         int(node.label[1:]))
+            elif target_ranks.setdefault(node.label, arity) != arity:
+                raise ParseError(f"inconsistent rank for {node.label!r}")
+    if source is None:
+        source = RankedAlphabet(source_ranks)
     target = RankedAlphabet(target_ranks)
     try:
         return TreeHom(source, target, rules)

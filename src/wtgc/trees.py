@@ -166,17 +166,21 @@ def parse_pos(text: str) -> Position:
     return parts
 
 
-def positions(t: Tree) -> list[Position]:
-    """All positions of t, in depth-first left-to-right order."""
-    out = []
-    stack = [(t, ())]
+def walk(t: Tree):
+    """(position, subtree) for every node of t in pre-order, depth-first
+    and left to right, which is the lexicographic order of positions."""
+    stack = [((), t)]
     while stack:
-        node, w = stack.pop()
-        out.append(w)
+        w, node = stack.pop()
+        yield w, node
         kids = node.children
         for i in range(len(kids), 0, -1):
-            stack.append((kids[i - 1], w + (i,)))
-    return out
+            stack.append((w + (i,), kids[i - 1]))
+
+
+def positions(t: Tree) -> list[Position]:
+    """All positions of t, in depth-first left-to-right order."""
+    return [w for w, _ in walk(t)]
 
 
 def subtree_or_none(t: Tree, w: Position):

@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from conftest import FIXTURES
 from wtgc import cli, transforms
@@ -257,3 +260,63 @@ def test_oracle_battery_reports_a_broken_transform(capsys, monkeypatch):
     assert code == 1
     assert "fx1 normalize: FAIL" in out.splitlines()
     assert "fx1 boolean-finals: PASS" in out.splitlines()
+
+
+def test_unreadable_and_unwritable_files_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.wtg")
+    latin = tmp_path / "latin.wtg"
+    latin.write_bytes(b"semiring nat\n# caf\xe9\n")
+    cases = [
+        (["decide", "empty", "--grammar", missing], "read", missing),
+        (["image", "--grammar", fx("fx3.wtg"), "--hom", str(tmp_path)],
+         "read", str(tmp_path)),
+        (["transform", "relabel", "--grammar", fx("fx4.wtg"),
+          "--map-file", missing], "read", missing),
+        (["transform", "normalize", "--grammar", fx("fx1.wtg"),
+          "--out", str(tmp_path / "no" / "out.wtg")],
+         "write", str(tmp_path / "no" / "out.wtg")),
+        (["eval", "--grammar", str(latin), "--tree", "a"],
+         "read", str(latin)),
+    ]
+    for argv, verb, path in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith(f"error: cannot {verb} {path!r}: "), argv
+        assert err.count("\n") == 1, argv
+
+
+def test_relabel_entry_given_twice_is_rejected(capsys, tmp_path):
+    mapping = tmp_path / "map.txt"
+    mapping.write_text("f=g\nf=a\n")
+    single = tmp_path / "single.txt"
+    single.write_text("f=a\n")
+    relabel = ["transform", "relabel", "--grammar", fx("fx4.wtg")]
+    for extra in (["--map-file", str(mapping)], ["--map", "f=a", "f=g"],
+                  ["--map-file", str(single), "--map", "f = g"]):
+        code, out, err = run(capsys, *relabel, *extra)
+        assert (code, out, err) == (
+            2, "", "error: symbol 'f' relabeled twice\n"), extra
+
+
+def test_oracle_sizes_below_one_are_rejected(capsys):
+    normalize = ["transform", "normalize", "--grammar", fx("fx1.wtg")]
+    for argv in ([*normalize, "--oracle-size", "-3"],
+                 ["oracle", "--fixtures", str(FIXTURES), "--size", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "below 1" in err, argv
+    # 0 turns the oracle off
+    code, _, _ = run(capsys, *normalize, "--oracle-size", "0")
+    assert code == 0
+
+
+def test_every_command_has_a_help_line(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    commands = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
+    assert "union" in commands and "disambiguate" in commands
+    for name in commands:
+        assert re.search(rf"^    {name} +\S", out, re.M), name

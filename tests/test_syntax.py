@@ -207,3 +207,19 @@ def test_hom_infers_alphabets():
 def test_hom_rejects_inconsistent_target_rank():
     with pytest.raises(ParseError):
         parse_hom("hom\nalpha -> alpha\nphi -> alpha(x1)\n")
+
+
+def test_deep_hom_rhs_needs_no_recursion():
+    # phi's rhs is 5000 gammas above x1, far beyond the default limit
+    depth = 5000
+    text = f"hom\nalpha -> alpha\nphi -> {'gamma(' * depth}x1{')' * depth}\n"
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        h = parse_hom(text)
+        flags = h.nondeleting, h.nonerasing
+    finally:
+        sys.setrecursionlimit(old)
+    assert flags == (True, True)
+    assert h.source.rank("phi") == 1 and h.target.rank("gamma") == 1
+    assert h.rhs["phi"].size == depth + 1
