@@ -6,7 +6,8 @@ fixture-driven oracle battery.  Weights always print in semiring-literal
 syntax, and output is byte-deterministic for fixed inputs.
 
 `build_parser` reads one table of (name, handler, help, arguments) rows,
-in which arguments shared by several commands are declared once.  Each
+in which arguments shared by several commands are declared once.  The
+parser is built once per process, on the first `main` call.  Each
 handler takes the parsed arguments and the `--grammar` grammar, if any.
 A construction returns its output and the weight it must give each tree;
 `main` compares the two up to `--oracle-size` and writes the output.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import decision, pumping, semantics, transforms
@@ -82,6 +83,8 @@ def _relabel_map(args, g) -> dict:
         if "=" not in entry:
             raise WtgcError(f"bad relabel entry {entry!r} (want old=new)")
         old, new = (part.strip() for part in entry.split("=", 1))
+        if old not in g.alphabet:
+            raise WtgcError(f"symbol {old!r} is not in the alphabet")
         if old in mapping:
             raise WtgcError(f"symbol {old!r} relabeled twice")
         mapping[old] = new
@@ -246,6 +249,7 @@ def _passes(label: str, check, *args) -> bool:
     return True
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     # (flag, add_argument keywords), in the order argparse's messages use
     grammar = ("--grammar", dict(required=True))
@@ -265,13 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
             ("--map", dict(nargs="*", help="relabel entries old=new")),
             ("--map-file",
              dict(help="file of relabel entries, one per line"))]),
-        ("union", partial(cmd_pointwise, transforms.disjoint_union,
+        # looked up when run, since the parser outlives any one call
+        ("union", partial(cmd_pointwise,
+                          lambda g, g2: transforms.disjoint_union(g, g2),
                           lambda s, a, b: s.add(a, b)),
          "sum of two grammars' weights", pointwise),
-        ("product", partial(cmd_pointwise, transforms.hadamard,
+        ("product", partial(cmd_pointwise,
+                            lambda g, g2: transforms.hadamard(g, g2),
                             lambda s, a, b: s.mul(a, b)),
          "product of two grammars' weights", pointwise),
-        ("restrict", partial(cmd_pointwise, transforms.restrict_support,
+        ("restrict", partial(cmd_pointwise,
+                             lambda g, g2: transforms.restrict_support(g, g2),
                              lambda s, a, b: a if b != s.zero else s.zero),
          "first grammar's weights on the second's support", pointwise),
         ("support", cmd_support, "support grammar or automaton",

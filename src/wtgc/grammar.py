@@ -27,6 +27,9 @@ from .trees import (
 )
 
 
+_UNSET = object()
+
+
 def make_constraints(pairs) -> frozenset:
     """Canonicalize a collection of position pairs: each pair ordered,
     the collection a frozenset.  Satisfaction is symmetric, so nothing
@@ -51,6 +54,12 @@ class Production:
     def __post_init__(self):
         object.__setattr__(self, "eq", make_constraints(self.eq))
         object.__setattr__(self, "ineq", make_constraints(self.ineq))
+        # hashed once, over the fields `__eq__` compares
+        object.__setattr__(self, "_hash", hash(
+            (self.lhs, self.target, self.weight, self.eq, self.ineq)))
+
+    def __hash__(self):
+        return self._hash
 
     def constrained_positions(self):
         out = set()
@@ -92,13 +101,14 @@ class Wtgc:
     Instances are immutable after construction; productions are stored
     sorted by their serialized form, which fixes the `p1, p2, ...`
     identifiers used in derivation output.  Derived views (production
-    identifiers, decompositions, the final support and the weight map
-    of `semantics`) are computed on first use and kept on the instance.
+    identifiers, decompositions, the final support, the classification,
+    the eq-restriction and the weight map of `semantics`) are computed
+    on first use and kept on the instance.
     """
 
     __slots__ = ("nonterminals", "alphabet", "final", "productions",
                  "semiring", "_ids", "_decompositions", "_final_support",
-                 "_weights")
+                 "_classification", "_eq_restriction", "_weights")
 
     def __init__(self, nonterminals, alphabet: RankedAlphabet, final,
                  productions, semiring: Semiring):
@@ -114,6 +124,8 @@ class Wtgc:
         self._ids = None
         self._decompositions = {}
         self._final_support = None
+        self._classification = None
+        self._eq_restriction = _UNSET  # None means "not eq-restricted"
         self._weights = None
         problems = validate(self)
         if problems:
@@ -244,11 +256,13 @@ def _is_classic(g: Wtgc, p: Production) -> bool:
 
 
 def classify(g: Wtgc) -> Classification:
+    if g._classification is not None:
+        return g._classification
     s = g.semiring
     by_shape = {}
     for p in g.productions:
         by_shape.setdefault((p.lhs, p.target), set()).add((p.eq, p.ineq))
-    return Classification(
+    g._classification = Classification(
         normalized=all(not g.decompose(p).checks for p in g.productions),
         positive=all(not p.ineq for p in g.productions),
         classic=all(_is_classic(g, p) for p in g.productions),
@@ -256,6 +270,7 @@ def classify(g: Wtgc) -> Classification:
         boolean_final=all(w in (s.zero, s.one) for w in g.final.values()),
         constraint_determined=all(len(v) == 1 for v in by_shape.values()),
     )
+    return g._classification
 
 
 def index_constraints(g: Wtgc, p: Production) -> frozenset:
@@ -327,8 +342,14 @@ def eq_restriction(g: Wtgc):
     Every equality class of every production must hold exactly one
     governing index: the unique non-sink member, or the class member
     itself for singleton all-sink classes (the sink productions need
-    that reading).
+    that reading).  Computed once per grammar.
     """
+    if g._eq_restriction is _UNSET:
+        g._eq_restriction = _find_eq_restriction(g)
+    return g._eq_restriction
+
+
+def _find_eq_restriction(g: Wtgc):
     cls = classify(g)
     if not (cls.positive and cls.classic):
         return None

@@ -178,11 +178,6 @@ def walk(t: Tree):
             stack.append((w + (i,), kids[i - 1]))
 
 
-def positions(t: Tree) -> list[Position]:
-    """All positions of t, in depth-first left-to-right order."""
-    return [w for w, _ in walk(t)]
-
-
 def subtree_or_none(t: Tree, w: Position):
     node = t
     for i in w:

@@ -43,9 +43,8 @@ from wtgc.trees import (
     Tree,
     enumerate_trees,
     leaf,
-    positions,
-    subtree,
     term_str,
+    walk,
 )
 
 ALPHA = leaf("alpha")
@@ -92,16 +91,16 @@ def test_criterion_2_semantics_cross_oracle(
 
 def _in_supp_g(tree):
     # all sigma children equal
-    return all(subtree(tree, w + (1,)) == subtree(tree, w + (2,))
-               for w in positions(tree) if subtree(tree, w).label == "sigma")
+    return all(node.children[0] == node.children[1]
+               for _, node in walk(tree) if node.label == "sigma")
 
 
 def _in_supp_gp(tree):
     # below every gamma whose child is a sigma, that sigma's children differ
-    for w in positions(tree):
-        if subtree(tree, w).label != "gamma":
+    for _, node in walk(tree):
+        if node.label != "gamma":
             continue
-        child = subtree(tree, w + (1,))
+        child = node.children[0]
         if child.label == "sigma" and child.children[0] == child.children[1]:
             return False
     return True
@@ -116,10 +115,10 @@ def test_criterion_3_hadamard_closed_form(fx2g, fx2gp):
                               and evaluate(fx2gp, tree) != NEG_INF)
             got = evaluate(product, tree)
             if inside:
-                n_gamma = sum(1 for w in positions(tree)
-                              if subtree(tree, w).label == "gamma")
-                n_sigma = sum(1 for w in positions(tree)
-                              if subtree(tree, w).label == "sigma")
+                n_gamma = sum(1 for _, node in walk(tree)
+                              if node.label == "gamma")
+                n_sigma = sum(1 for _, node in walk(tree)
+                              if node.label == "sigma")
                 assert got == 3 * n_gamma + n_sigma
             else:
                 assert got == NEG_INF

@@ -15,7 +15,12 @@ def fx(name):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one call, usage errors and help
+    included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -235,17 +240,24 @@ def test_oracle_mismatch_exits_2(capsys, monkeypatch):
     normalize = cli._TRANSFORMS["normalize"]
     monkeypatch.setitem(cli._TRANSFORMS, "normalize",
                         lambda g: emptied(normalize(g)))
-    for name in ("hadamard", "relabel"):
-        real = getattr(transforms, name)
-        monkeypatch.setattr(transforms, name,
-                            lambda *args, real=real: emptied(real(*args)))
-    for argv in (
-            ["transform", "normalize", "--grammar", fx("fx1.wtg")],
-            ["product", "--grammar", fx("fx2g.wtg"),
-             "--grammar2", fx("fx2gp.wtg")],
-            ["transform", "relabel", "--grammar", fx("fx4.wtg"),
-             "--map", "f=g"]):
-        code, out, err = run(capsys, *argv, "--oracle-size", "6")
+    # patched after the parser is built, one construction at a time
+    # (`restrict_support` calls `hadamard`): each command must look its
+    # construction up when it runs
+    cli.build_parser()
+    pair = ["--grammar", fx("fx2g.wtg"), "--grammar2", fx("fx2gp.wtg")]
+    for argv, name in (
+            (["transform", "normalize", "--grammar", fx("fx1.wtg")], None),
+            (["union", *pair], "disjoint_union"),
+            (["product", *pair], "hadamard"),
+            (["restrict", *pair], "restrict_support"),
+            (["transform", "relabel", "--grammar", fx("fx4.wtg"),
+              "--map", "f=g"], "relabel")):
+        with monkeypatch.context() as patch:
+            if name is not None:
+                real = getattr(transforms, name)
+                patch.setattr(transforms, name,
+                              lambda *args, real=real: emptied(real(*args)))
+            code, out, err = run(capsys, *argv, "--oracle-size", "6")
         assert code == 2, argv
         assert err.startswith("error: oracle mismatch on "), argv
         assert out == ""
@@ -299,6 +311,17 @@ def test_relabel_entry_given_twice_is_rejected(capsys, tmp_path):
             2, "", "error: symbol 'f' relabeled twice\n"), extra
 
 
+def test_relabel_entry_for_a_missing_symbol_is_rejected(capsys, tmp_path):
+    mapping = tmp_path / "map.txt"
+    mapping.write_text("f=g\nzz=a\n")
+    relabel = ["transform", "relabel", "--grammar", fx("fx4.wtg")]
+    for extra in (["--map", "zz=a"], ["--map", "f=g", "zz = a"],
+                  ["--map-file", str(mapping)]):
+        code, out, err = run(capsys, *relabel, *extra)
+        assert (code, out, err) == (
+            2, "", "error: symbol 'zz' is not in the alphabet\n"), extra
+
+
 def test_oracle_sizes_below_one_are_rejected(capsys):
     normalize = ["transform", "normalize", "--grammar", fx("fx1.wtg")]
     for argv in ([*normalize, "--oracle-size", "-3"],
@@ -320,3 +343,45 @@ def test_every_command_has_a_help_line(capsys, monkeypatch):
     assert "union" in commands and "disambiguate" in commands
     for name in commands:
         assert re.search(rf"^    {name} +\S", out, re.M), name
+
+
+def test_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    # the parser is built once per process; two passes over the same
+    # commands, with a usage error and help between them, must agree
+    monkeypatch.setenv("COLUMNS", "80")
+    mapping = tmp_path / "map.txt"
+    mapping.write_text("f=g\n")
+    fx4 = ["--grammar", fx("fx4.wtg")]
+    tall = "a"
+    for _ in range(7):
+        tall = f"g({tall},{tall})"
+    commands = [
+        ["eval", "--grammar", fx("fx1.wtg"), "--tree", "alpha"],
+        ["eval", "--grammar", fx("fx1.wtg"), "--tree", "alpha",
+         "--format", "json"],
+        ["derivs", "--grammar", fx("fx1.wtg"),
+         "--tree", "sigma(gamma(alpha),alpha)"],
+        ["transform", "relabel", *fx4, "--map", "f=g"],
+        ["transform", "relabel", *fx4, "--map-file", str(mapping)],
+        ["transform", "relabel", *fx4],
+        ["transform", "normalize", "--grammar", fx("fx1.wtg"),
+         "--oracle-size", "4"],
+        ["union", "--grammar", fx("fx2g.wtg"), "--grammar2",
+         fx("fx2gp.wtg"), "--oracle-size", "3"],
+        ["support", *fx4, "--unambiguous"],
+        ["support", *fx4],
+        ["disambiguate", "--grammar", fx("fx6.wtg"), "--hom", "identity"],
+        ["disambiguate", "--grammar", fx("fx2g.wtg")],
+        ["decide", "empty", *fx4, "--explain"],
+        ["decide", "finite", *fx4],
+        ["pump", *fx4, "--tree", tall, "--count", "1"],
+        ["separation", "--n", "2"],
+        ["transform", "normalize"],
+        ["eval", "--help"],
+    ]
+    first = [run(capsys, *argv) for argv in commands]
+    assert run(capsys, "union", "--grammar")[0] == 2
+    assert run(capsys, "--help")[0] == 0
+    assert [run(capsys, *argv) for argv in commands] == first
+    assert [code for code, _, _ in first] == [
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 0]

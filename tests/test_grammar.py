@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from conftest import random_wtgc, t
+from conftest import load_grammar, random_eq_restricted, random_wtgc, t
+from wtgc import grammar
 from wtgc.errors import GrammarError
 from wtgc.grammar import (
     Production,
@@ -12,7 +15,7 @@ from wtgc.grammar import (
     validate,
 )
 from wtgc.semiring import ARCTIC, NATURAL, TROPICAL
-from wtgc.trees import RankedAlphabet, Tree, leaf, positions, subtree
+from wtgc.trees import RankedAlphabet, Tree, leaf, subtree, walk
 
 ABC = RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
 
@@ -142,7 +145,8 @@ def test_decompose_covers_every_position():
             dec = g.decompose(p)
             leaves = dict(zip(dec.positions, dec.states))
             checks = {w: (label, arity) for w, label, arity in dec.checks}
-            assert sorted([(), *leaves, *checks]) == sorted(positions(p.lhs))
+            assert sorted([(), *leaves, *checks]) == sorted(
+                w for w, _ in walk(p.lhs))
             assert list(leaves) == sorted(leaves)
             assert list(checks) == sorted(checks)
             for w, q in leaves.items():
@@ -241,3 +245,52 @@ def test_production_ids_are_stable(fx1):
     assert ids == ["p1", "p2", "p3"]
     with pytest.raises(GrammarError):
         fx1.prod_id(Production(leaf("alpha"), "q", 5))
+
+
+def rebuilt(g):
+    """An equal grammar over separately built equal productions, with
+    nothing computed yet."""
+    return Wtgc(g.nonterminals, g.alphabet, g.final,
+                [replace(p) for p in g.productions], g.semiring)
+
+
+def test_classification_and_eq_restriction_are_kept_on_the_grammar(
+        monkeypatch):
+    grammars = ([load_grammar(name) for name in
+                 ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5", "fx6")]
+                + [random_eq_restricted(seed) for seed in range(100)]
+                + [random_wtgc(seed) for seed in range(50)])
+    restricted = 0
+    for g in grammars:
+        cls, er = classify(g), eq_restriction(g)
+        fresh = rebuilt(g)
+        assert fresh == g
+        # the other order on the copy: eq_restriction classifies first
+        assert eq_restriction(fresh) == er
+        assert classify(fresh) == cls
+        # a second call returns the kept object, a kept None included,
+        # and computes nothing
+        with monkeypatch.context() as patch:
+            for name in ("Classification", "_find_eq_restriction"):
+                patch.setattr(grammar, name, None)
+            assert classify(g) is cls
+            assert eq_restriction(g) is er
+        restricted += er is not None
+    assert 0 < restricted < len(grammars)
+
+
+def test_production_hash_follows_the_compared_fields():
+    for seed in range(50):
+        for p in random_wtgc(seed).productions:
+            flipped = Production(p.lhs, p.target, p.weight,
+                                 [(w, v) for v, w in p.eq],
+                                 [(w, v) for v, w in p.ineq])
+            assert flipped == p and hash(flipped) == hash(p)
+            assert hash(p) == hash(
+                (p.lhs, p.target, p.weight, p.eq, p.ineq))
+            # `replace` builds a new production, hashed afresh
+            moved = replace(p, target=p.target + "'")
+            assert moved != p and hash(moved) != hash(p)
+            assert hash(moved) == hash(
+                Production(p.lhs, p.target + "'", p.weight, p.eq, p.ineq))
+            assert {moved, flipped} == {p, replace(moved)}

@@ -28,9 +28,9 @@ from wtgc.trees import (
     enumerate_trees,
     leaf,
     leftmost_key,
-    positions,
     subtree,
     term_str,
+    walk,
 )
 
 BASE_TREE = "f(g(a,a),f(a,g(a,a)))"
@@ -187,7 +187,7 @@ def test_sink_steps_are_the_leftmost_order(fx4_prepared):
     (q,) = g.final_support()
     (d,) = derivations(g, base, q)
     for tree in [base] + [tree for tree, _ in pump(g, base, d, 3)]:
-        ordered = sorted(positions(tree), key=leftmost_key)
+        ordered = sorted((w for w, _ in walk(tree)), key=leftmost_key)
         assert _sink_steps(g, sink, tree) == tuple(
             (by_symbol[subtree(tree, w).label], w) for w in ordered)
 

@@ -15,7 +15,6 @@ from wtgc.trees import (
     leaf,
     parse_pos,
     pos_str,
-    positions,
     replace,
     satisfies,
     satisfies_all,
@@ -23,6 +22,7 @@ from wtgc.trees import (
     subtree,
     term_str,
     trees_of_size,
+    walk,
 )
 
 ALPHA = leaf("alpha")
@@ -41,17 +41,17 @@ def trees(leaves=("a", "b"), unary=("g",), binary=("f",)):
 
 
 def test_positions_leaf():
-    assert positions(ALPHA) == [()]
+    assert [w for w, _ in walk(ALPHA)] == [()]
 
 
 def test_positions_small():
-    assert set(positions(t("sigma", t("gamma", ALPHA), ALPHA))) \
+    assert {w for w, _ in walk(t("sigma", t("gamma", ALPHA), ALPHA))} \
         == {(), (1,), (1, 1), (2,)}
 
 
 def test_positions_example_tree():
     # sigma(gamma(gamma(alpha)),gamma(alpha)) has six nodes
-    assert set(positions(EX1_TREE)) == {
+    assert {w for w, _ in walk(EX1_TREE)} == {
         (), (1,), (1, 1), (1, 1, 1), (2,), (2, 1)}
 
 
@@ -81,7 +81,7 @@ def test_replace_child():
 
 def test_replace_is_an_involution():
     u = t("gamma", leaf("beta"))
-    for w in positions(EX1_TREE):
+    for w, _ in walk(EX1_TREE):
         patched = replace(EX1_TREE, {w: u})
         assert replace(patched, {w: subtree(EX1_TREE, w)}) == EX1_TREE
 
@@ -102,7 +102,7 @@ def test_deep_trees_compare_without_recursion():
     assert a is not b and a == b
     assert len({a, b}) == 1
     assert a != gammas(5000, leaf("beta"))
-    assert len(positions(a)) == 5001
+    assert sum(1 for _ in walk(a)) == 5001
 
 
 def test_hash_is_label_and_children_hashes():
@@ -144,7 +144,7 @@ def test_satisfies_all_and_dissatisfies_all():
 
 @given(trees())
 def test_positions_prefix_and_sibling_closed(tree):
-    pos = set(positions(tree))
+    pos = {w for w, _ in walk(tree)}
     assert len(pos) == tree.size
     for w in pos:
         if w:
@@ -171,13 +171,14 @@ def comparable(v, w):
 def test_subtree_of_replace(tree, data):
     # a random antichain of positions, each with its own replacement
     at = {}
-    for w in data.draw(st.lists(st.sampled_from(positions(tree)))):
+    every = [w for w, _ in walk(tree)]
+    for w in data.draw(st.lists(st.sampled_from(every))):
         if not any(comparable(w, v) for v in at):
             at[w] = data.draw(trees())
     patched = replace(tree, at)
     for w, u in at.items():
         assert subtree(patched, w) is u
-    for v in positions(tree):
+    for v in every:
         if not any(comparable(v, w) for w in at):
             # off every copied path: the input's own object
             assert subtree(patched, v) is subtree(tree, v)
@@ -185,7 +186,7 @@ def test_subtree_of_replace(tree, data):
 
 @given(trees())
 def test_reflexive_pairs(tree):
-    pos = set(positions(tree))
+    pos = {w for w, _ in walk(tree)}
     for w in list(pos)[:5] + [(9, 9)]:
         assert satisfies(tree, (w, w)) == (w in pos)
 
