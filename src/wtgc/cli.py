@@ -320,8 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # only the term printer (`term_str`) still recurses; the raised limit
-    # is put back on return so that in-process callers keep their own
+    # still recursive: the term printer (`term_str`), `trees.substitute`
+    # (union), `relabel`'s `relabel_tree` (image, transform relabel),
+    # `preimage`'s `pre` and `_match_rhs` (image-eval, the relabel
+    # oracle) and `substitute_derivation`'s `rec` (pump); the raised
+    # limit is put back on return so that in-process callers keep their
+    # own
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:

@@ -358,11 +358,7 @@ def _find_eq_restriction(g: Wtgc):
         ok = True
         for p in g.productions:
             states = g.decompose(p).states
-            try:
-                classes = _index_classes(g, p)
-            except GrammarError:
-                ok = False
-                break
+            classes = _index_classes(g, p)
             gp = {}
             for i in range(1, len(states) + 1):
                 members = classes[i]

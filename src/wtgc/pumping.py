@@ -177,6 +177,8 @@ def pump(g: Wtgc, t: Tree, d: Derivation, count: int) -> list:
     height; g must be eq-restricted and preprocessed, the derivation
     complete to a non-sink nonterminal with nonzero weight, and the tree
     taller than `grammar_height(g)`."""
+    if count < 0:
+        raise PumpError(f"negative pump count {count}")
     er = eq_restriction(g)
     if er is None:
         raise PumpError("pumping needs an eq-restricted grammar")

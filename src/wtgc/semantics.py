@@ -191,12 +191,12 @@ class WeightMap:
         self._groups = groups
         self._heads = {(p.lhs.label, len(p.lhs.children), p.target)
                        for p in g.productions}
-        # Over a zero-sum free and zero-divisor free semiring, with no
-        # zero-weight production, a state weight is nonzero exactly where
-        # a derivation exists, so the vectors rule out derivations.
+        # Over a zero-sum free and zero-divisor free semiring a state
+        # weight is nonzero exactly where a derivation exists (`validate`
+        # rejects zero-weight productions), so the vectors rule out
+        # derivations.
         s = g.semiring
-        self._exact = (s.zero_sum_free and s.zero_divisor_free
-                       and all(p.weight != s.zero for p in g.productions))
+        self._exact = s.zero_sum_free and s.zero_divisor_free
         self._buckets: dict = {}
         self._ids: dict = {}
         self.keys: list = []

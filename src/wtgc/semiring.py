@@ -74,14 +74,10 @@ class Semiring:
         return result
 
     def power_profile(self, a) -> tuple[int, int]:
-        """Smallest (preperiod k, period p) with a^(j+p) = a^j for all j >= k.
-
-        Finite carriers are handled by direct enumeration of the power
-        sequence.  Elements of infinite multiplicative order occur only in
-        zero-divisor-free instances, which override this method and declare
-        the trivial cap (0, 1); that cap is sound for every use this
-        library makes of the profile because h^-1(0) is empty there.
-        """
+        """Smallest (preperiod k, period p) with a^(j+p) = a^j for all j >= k,
+        by direct enumeration of the power sequence of a finite carrier."""
+        if not self.finite:
+            raise SemiringError(f"{self.name} has an infinite carrier")
         seen = {}
         x = self.one
         i = 0
@@ -162,11 +158,6 @@ class NaturalsSemiring(Semiring):
 
     def sample(self):
         return self._sample
-
-    def power_profile(self, a):
-        # the zero is absorbing; no other power is ever zero, so the
-        # rest take the trivial cap (see `Semiring.power_profile`)
-        return (1, 1) if a == self.zero else (0, 1)
 
     def parse(self, text):
         if text.isdigit():

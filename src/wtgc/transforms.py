@@ -177,33 +177,35 @@ def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
     weight.
 
     Nonterminals are pairs of an original nonterminal and a capped
-    exponent vector over the non-unit production weights; combinations
-    whose tracked product hits zero are never created.  Only pairs
-    reachable bottom-up are materialized, which also keeps the sink of
-    an eq-restricted input a sink.
+    exponent vector over the production weights that are zero divisors
+    (in a commutative semiring a product of nonzero weights is zero
+    exactly when its zero-divisor part is); combinations whose tracked
+    product hits zero are never created.  Only pairs reachable bottom-up
+    are materialized, which also keeps the sink of an eq-restricted
+    input a sink.  A pair with the empty vector keeps its nonterminal's
+    name, so over a zero-divisor free semiring the output is the
+    productive part of the input.
 
     The exponent vectors are plain tuples; they add entrywise and
-    saturate at the cap.  The vectors whose product is zero form an
-    upward closed set (a zero times anything is zero), so saturation
-    never turns a zero product into a nonzero one.  Over a zero-divisor
-    free semiring no product of nonzero weights is zero, so the cap is 0
-    and every vector is all zeros.
+    saturate at the cap, which is at least each weight's preperiod.  The
+    vectors whose product is zero form an upward closed set (a zero
+    times anything is zero), so saturation never turns a zero product
+    into a nonzero one.
     """
     s = g.semiring
-    weights = sorted({p.weight for p in g.productions if p.weight != s.one},
-                     key=s.format)
-    if s.zero_divisor_free:
-        cap = 0
-    else:
-        cap = max((sum(s.power_profile(w)) for w in weights), default=0)
-    units = {w: tuple(min(1, cap) if i == j else 0
-                      for j in range(len(weights)))
+    weights = () if s.zero_divisor_free else sorted(
+        {p.weight for p in g.productions
+         if any(s.mul(p.weight, x) == s.zero
+                for x in s.elements() if x != s.zero)},
+        key=s.format)
+    cap = max((sum(s.power_profile(w)) for w in weights), default=0)
+    units = {w: tuple(int(i == j) for j in range(len(weights)))
              for i, w in enumerate(weights)}
     zeros = (0,) * len(weights)
     nonzero: dict[tuple, bool] = {}
 
     names = Names(g.alphabet.names(), lambda key: (
-        f"{key[0]}#[{'.'.join(map(str, key[1]))}]"))
+        f"{key[0]}#[{'.'.join(map(str, key[1]))}]" if key[1] else key[0]))
     decs = {p: g.decompose(p) for p in g.productions}
     productions = set()
 
@@ -421,10 +423,8 @@ def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
 def support_automaton(g: Wtgc) -> Wtgc:
     """An unambiguous Boolean WTAc recognizing the support of g; needs a
     zero-sum free and zero-divisor free semiring."""
-    s = g.semiring
-    hom = support_hom(s)  # rejects descriptors lacking either flag
-    prepared = eliminate_zero_derivations(boolean_finals(normalize(g)))
-    return disambiguate(prepared, hom)
+    hom = support_hom(g.semiring)  # rejects descriptors lacking a flag
+    return disambiguate(eliminate_zero_derivations(normalize(g)), hom)
 
 
 def complement_support(g: Wtgc) -> Wtgc:

@@ -69,6 +69,8 @@ def matrix(tmp):
         tree = f"g({tree},{tree})"
     yield ["pump", "--grammar", fx("fx4.wtg"), "--tree", tree,
            "--count", "2"]
+    yield ["pump", "--grammar", fx("fx4.wtg"), "--tree", tree,
+           "--count", "-1"]
     yield ["separation", "--n", "3"]
     yield ["separation", "--n", "0"]
     yield ["oracle", "--fixtures", str(FIXTURES), "--size", "4"]

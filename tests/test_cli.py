@@ -334,6 +334,15 @@ def test_oracle_sizes_below_one_are_rejected(capsys):
     assert code == 0
 
 
+def test_negative_pump_count_is_rejected(capsys):
+    tall = "a"
+    for _ in range(7):
+        tall = f"g({tall},{tall})"
+    code, out, err = run(capsys, "pump", "--grammar", fx("fx4.wtg"),
+                         "--tree", tall, "--count", "-2")
+    assert (code, out, err) == (2, "", "error: negative pump count -2\n")
+
+
 def test_every_command_has_a_help_line(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit):

@@ -170,6 +170,15 @@ def test_pump_zero_count(fx4_prepared):
     assert pump(g, base, d, 0) == []
 
 
+def test_pump_rejects_a_negative_count(fx4_prepared):
+    g = fx4_prepared
+    base = parse_term(term_str(tall_square(7)), g.alphabet)
+    (q,) = g.final_support()
+    (d,) = derivations(g, base, q)
+    with pytest.raises(PumpError, match="negative pump count -2"):
+        pump(g, base, d, -2)
+
+
 def test_pump_rejects_short_trees(fx4_prepared):
     g = fx4_prepared
     base = parse_term(term_str(tall_square(3)), g.alphabet)

@@ -3,7 +3,13 @@ from itertools import product
 
 import pytest
 
-from conftest import gammas, random_wtgc, t
+from conftest import (
+    gammas,
+    load_grammar,
+    random_eq_restricted,
+    random_wtgc,
+    t,
+)
 from wtgc import transforms
 from wtgc.decision import productivity
 from wtgc.errors import TransformError
@@ -28,8 +34,8 @@ from wtgc.semantics import (
     evaluate,
     state_weight,
 )
-from wtgc.semiring import ARCTIC, BOOLEAN, NATURAL, support_hom
-from wtgc.syntax import parse_grammar
+from wtgc.semiring import ARCTIC, BOOLEAN, NATURAL, IntegersMod, support_hom
+from wtgc.syntax import parse_grammar, serialize_grammar
 from wtgc.transforms import (
     boolean_finals,
     complement_support,
@@ -48,6 +54,7 @@ from wtgc.transforms import (
 from wtgc.trees import RankedAlphabet, enumerate_trees, leaf, term_str
 
 ALPHA = leaf("alpha")
+ZERO_DIVISOR_FREE_FIXTURES = ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5")
 
 
 def assert_equivalent(g, h, size):
@@ -149,11 +156,38 @@ def test_boolean_finals_all_zero():
 
 def test_eliminate_zero_trivial_copy(fx1):
     out = eliminate_zero_derivations(fx1)
-    # zero-divisor free: the cap collapses and each nonterminal gets one
-    # trivial vector
-    assert len(out.nonterminals) == len(fx1.nonterminals)
-    assert len(out.productions) == len(fx1.productions)
+    # zero-divisor free: no weight is tracked and every name stays
+    assert out == fx1
     assert_equivalent(fx1, out, 8)
+
+
+def _productive_part(g):
+    keep = productivity(g).productive
+    return Wtgc(keep, g.alphabet, {q: g.final[q] for q in keep},
+                [p for p in g.productions
+                 if keep.issuperset(g.decompose(p).states)], g.semiring)
+
+
+def test_eliminate_zero_without_zero_divisors_keeps_the_productive_part():
+    grammars = [load_grammar(name) for name in ZERO_DIVISOR_FREE_FIXTURES]
+    grammars.append(support_grammar(grammars[0]))  # Boolean
+    grammars += [g for g in map(random_wtgc, range(60))
+                 if g.semiring.zero_divisor_free]
+    grammars += map(random_eq_restricted, range(30))
+    assert {g.semiring for g in grammars} == {NATURAL, ARCTIC, BOOLEAN}
+    for g in grammars:
+        assert eliminate_zero_derivations(g) == _productive_part(g)
+
+
+def test_eliminate_zero_ignores_unit_weights():
+    # 3 is a unit of zmod 4: no power of it is zero, so nothing splits
+    alphabet = RankedAlphabet({"alpha": 0, "gamma": 1})
+    g = Wtgc({"q"}, alphabet, {"q": 1},
+             [Production(ALPHA, "q", 3),
+              Production(t("gamma", leaf("q")), "q", 3)], IntegersMod(4))
+    out = eliminate_zero_derivations(g)
+    assert out.nonterminals == {"q"}
+    assert out == g
 
 
 def test_eliminate_zero_prunes_zero_divisors(fx6):
@@ -456,6 +490,16 @@ def test_complement_support(fx1):
                  comp.productions, BOOLEAN)
     for tree in enumerate_trees(fx1.alphabet, 7):
         assert evaluate(twice, tree) == evaluate(aut, tree)
+
+
+def test_support_automata_read_back():
+    grammars = [load_grammar(name) for name in ZERO_DIVISOR_FREE_FIXTURES]
+    grammars += [g for g in map(random_wtgc, range(30))
+                 if g.semiring.zero_divisor_free]
+    grammars += map(random_eq_restricted, range(30))
+    for g in grammars:
+        for out in (support_automaton(g), complement_support(g)):
+            assert parse_grammar(serialize_grammar(out)) == out
 
 
 def test_restrict_support_example(fx2g, fx2gp):
