@@ -26,10 +26,12 @@ tree only for grammars where a vector may depend on more than the
 children's vectors and their equalities.
 
 `derivations` enumerates the complete left-most derivations with the
-same compiled matcher and ids: the alternatives at each (nonterminal,
-id) are memoized with their counts, and each derivation is spelled out
-once with absolute positions.  Over a zero-sum free, zero-divisor free
-semiring a zero weight already rules a derivation out.  Summing
+same compiled matcher and ids.  The options at each (nonterminal, id)
+are computed once and memoized with their counts, productions and
+children's keys and relative positions; a derivation is then spelled
+out with one stack entry per step, at absolute positions, so one
+derivation is quadratic in depth.  Over a zero-sum free, zero-divisor
+free semiring a zero weight already rules a derivation out.  Summing
 derivation weights must agree with the weight map, which the test suite
 uses as the master oracle.
 """
@@ -392,15 +394,20 @@ class WeightMap:
     # -- derivations ------------------------------------------------------------
 
     def _options(self, q, c):
-        """The plans for q that fit the node with id c, with the ids at
-        their nonterminal leaves, in production order."""
+        """The productions for q that fit id c, in order, each with the
+        ((state, id), relative position) of its nonterminal leaves."""
         keys = self.keys
         label, ch = keys[c]
         plans = self._bucket(label, len(ch)).by_target.get(q, ())
-        return [(plan, ch if plan.flat else
-                 tuple(_at(keys, ch, c, w) for w in plan.positions))
-                for plan in plans
-                if not plan.guarded or self._fits(plan, ch, c)]
+        out = []
+        for plan in plans:
+            if plan.guarded and not self._fits(plan, ch, c):
+                continue
+            ids = ch if plan.flat else [_at(keys, ch, c, w)
+                                        for w in plan.positions]
+            out.append((plan.production,
+                        tuple(zip(zip(plan.states, ids), plan.positions))))
+        return out
 
     def derivation_count(self, q: str, t: Tree) -> int:
         self._declared(q)
@@ -421,37 +428,43 @@ class WeightMap:
 
     def _count(self, q: str, c: int) -> int:
         """The number of complete left-most derivations of id c to q,
-        memoizing the alternatives of every (state, id) reached."""
+        memoizing each (state, id) reached as (count, production,
+        children) alternatives; a pair waiting for its children keeps
+        its options in `pending`, so they are computed once."""
         alts = self._alts
         found = alts.get((q, c))
         if found is not None:
             return found[0]
         if self._underivable(q, c):
             return 0
+        pending: dict = {}
         stack = [(q, c)]
         while stack:
             key = stack[-1]
             if key in alts:
                 stack.pop()
                 continue
-            if self._underivable(*key):
-                alts[key] = _UNDERIVABLE
-                stack.pop()
-                continue
-            options = self._options(*key)
-            missing = [sub for plan, subs in options
-                       for sub in zip(plan.states, subs) if sub not in alts]
-            if missing:
-                stack.extend(missing)
-                continue
+            options = pending.pop(key, None)
+            if options is None:
+                if self._underivable(*key):
+                    alts[key] = _UNDERIVABLE
+                    stack.pop()
+                    continue
+                options = self._options(*key)
+                missing = [sub for _, children in options
+                           for sub, _ in children if sub not in alts]
+                if missing:
+                    pending[key] = options
+                    stack.extend(missing)
+                    continue
             stack.pop()
             kept, total = [], 0
-            for plan, subs in options:
+            for p, children in options:
                 n = 1
-                for sub in zip(plan.states, subs):
+                for sub, _ in children:
                     n *= alts[sub][0]
                 if n:
-                    kept.append((plan, subs, n))
+                    kept.append((n, p, children))
                     total += n
             alts[key] = (total, tuple(kept)) if total else _UNDERIVABLE
         return alts[(q, c)][0]
@@ -475,27 +488,27 @@ class WeightMap:
         """
         alts = self._alts
         out = []
-        stack = [(q, c, (), index)]
+        stack = [((q, c), (), index)]
+        push = stack.append
         while stack:
-            q, c, base, i = stack.pop()
-            options = alts[(q, c)][1]
+            key, base, i = stack.pop()
+            options = alts[key][1]
             if not i:
-                plan, subs, _ = options[0]
-                out.append((plan.production, base))
-                stack.extend((state, sub, base + pos, 0) for state, sub, pos
-                             in zip(plan.states, subs, plan.positions))
+                _, p, children = options[0]
+                out.append((p, base))
+                for sub, pos in children:
+                    push((sub, base + pos, 0))
                 continue
-            for plan, subs, n in options:
+            for n, p, children in options:
                 if i < n:
                     break
                 i -= n
-            out.append((plan.production, base))
-            children = []
-            for state, sub, pos in reversed(tuple(
-                    zip(plan.states, subs, plan.positions))):
-                i, r = divmod(i, alts[(state, sub)][0])
-                children.append((state, sub, base + pos, r))
-            stack.extend(reversed(children))
+            out.append((p, base))
+            later = []
+            for sub, pos in reversed(children):
+                i, r = divmod(i, alts[sub][0])
+                later.append((sub, base + pos, r))
+            stack.extend(reversed(later))
         out.reverse()
         return tuple(out)
 

@@ -235,15 +235,18 @@ def eliminate_zero_derivations(g: Wtgc) -> Wtgc:
 
 
 def support_grammar(g: Wtgc) -> Wtgc:
-    """A Boolean grammar whose evaluation is 1 exactly on the support of
-    g; requires a zero-sum free semiring."""
+    """A Boolean grammar, under g's names, whose evaluation is 1 exactly
+    on the support of g; requires a zero-sum free and zero-divisor free
+    semiring."""
     s = g.semiring
     if not s.zero_sum_free:
         raise TransformError(f"{s.name} is not zero-sum free")
-    h = eliminate_zero_derivations(boolean_finals(g))
+    if not s.zero_divisor_free:
+        raise TransformError(f"{s.name} is not zero-divisor free")
+    h = eliminate_zero_derivations(g)
     productions = {Production(p.lhs, p.target, 1, p.eq, p.ineq)
                    for p in h.productions}
-    final = {q: 1 if h.final[q] != s.zero else 0 for q in h.nonterminals}
+    final = {q: int(h.final[q] != s.zero) for q in h.nonterminals}
     return Wtgc(h.nonterminals, h.alphabet, final, productions, BOOLEAN)
 
 

@@ -6,7 +6,8 @@ Each case is written as its argv, its exit code, its stdout and its
 stderr, and, for `--out`, the file written.  The checkout and the
 temporary directory are masked, and help is formatted 80 columns wide.
 The matrix runs every fixture through every construction with its
-oracle, the decisions, evaluation, derivations, relabeling, the image,
+oracle, the decisions, evaluation, derivations (also on an ambiguous
+grammar, where trees have several), relabeling, the image,
 pumping, the separation family and the oracle battery, then the error
 paths, `--help` of every command and the usage errors.  Run it in two
 checkouts and compare the files byte for byte to show that a change
@@ -29,6 +30,19 @@ NAMES = ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5", "fx6")
 TREES = {"fx3": "phi(gamma(alpha))", "fx4": "g(f(a,a),f(a,a))",
          "fx5": "f(g(a,a),g(a,a))"}
 SIGMA_TREE = "sigma(gamma(gamma(alpha)),gamma(alpha))"
+AMBIGUOUS = """semiring nat
+alphabet alpha:0 gamma:1 sigma:2
+nonterminals q r
+final q = 1
+prod alpha -> q @ 1
+prod alpha -> r @ 2
+prod gamma(q) -> q @ 1
+prod gamma(r) -> q @ 3
+prod gamma(q) -> r @ 2
+prod gamma(r) -> r @ 1
+prod sigma(q,q) -> q @ 1
+prod sigma(q,r) -> q [ne 1=2] @ 2
+"""
 
 
 def fx(name):
@@ -54,6 +68,13 @@ def matrix(tmp):
         tree = TREES.get(name, SIGMA_TREE)
         yield ["eval", *g, "--tree", tree, "--format", "json"]
         yield ["derivs", *g, "--tree", tree]
+    ambiguous = Path(tmp) / "ambiguous.wtg"
+    ambiguous.write_text(AMBIGUOUS)
+    g = ["--grammar", str(ambiguous)]
+    yield ["derivs", *g, "--tree", "sigma(gamma(alpha),gamma(gamma(alpha)))"]
+    for target in ("q", "r"):
+        yield ["derivs", *g, "--tree", "gamma(gamma(alpha))",
+               "--target", target]
     map_file = Path(tmp) / "map.txt"
     map_file.write_text("f=g\n# comment\n")
     yield ["transform", "relabel", "--grammar", fx("fx4.wtg"),

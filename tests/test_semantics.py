@@ -1,5 +1,6 @@
 import sys
 import threading
+from itertools import product
 
 import pytest
 
@@ -22,8 +23,8 @@ from wtgc.semantics import (
 from wtgc.pumping import separation_family
 from wtgc.semiring import NATURAL, NEG_INF
 from wtgc.syntax import parse_term
-from wtgc.trees import RankedAlphabet, Tree, enumerate_trees, leaf, \
-    leftmost_key
+from wtgc.trees import RankedAlphabet, Tree, dissatisfies_all, \
+    enumerate_trees, leaf, leftmost_key, satisfies_all, subtree, term_str
 
 ALPHA = leaf("alpha")
 EX1_TREE = t("sigma", gammas(2, ALPHA), gammas(1, ALPHA))
@@ -140,6 +141,57 @@ def test_derivations_replay_and_are_leftmost(fx1, fx4, fx5):
                     assert replay_derivation(g, d)
                     keys = [leftmost_key(w) for _, w in d.steps]
                     assert keys == sorted(keys)
+
+
+def _lhs_leaves(g, lhs, tree, at=()):
+    """The (state, position) pairs of the nonterminal leaves of lhs, left
+    to right, if lhs matches tree at its root; None otherwise."""
+    if lhs.label in g.nonterminals:
+        return [(lhs.label, at)]
+    if lhs.label != tree.label or len(lhs.children) != len(tree.children):
+        return None
+    leaves = []
+    for i, (a, b) in enumerate(zip(lhs.children, tree.children), 1):
+        below = _lhs_leaves(g, a, b, at + (i,))
+        if below is None:
+            return None
+        leaves += below
+    return leaves
+
+
+def _brute_derivations(g, tree, q):
+    """Every complete left-most derivation of tree to q as a tuple of
+    steps, by plain recursion: in production order, then with the first
+    leaf's derivations varying slowest."""
+    out = []
+    for p in g.productions:
+        leaves = _lhs_leaves(g, p.lhs, tree) if p.target == q else None
+        if (leaves is None or not satisfies_all(tree, p.eq)
+                or not dissatisfies_all(tree, p.ineq)):
+            continue
+        parts = [[tuple((r, w + v) for r, v in steps)
+                  for steps in _brute_derivations(g, subtree(tree, w), r)]
+                 for r, w in leaves]
+        for combo in product(*parts):
+            out.append(sum(combo, ()) + ((p, ()),))
+    return out
+
+
+def test_derivation_order_matches_brute_force():
+    # no fixture has a tree with two derivations; these random grammars
+    # do, over nat, arctic and zmod 4 (where no weight prunes)
+    semirings = set()
+    for seed in range(110):
+        g = random_wtgc(seed)
+        for tree in enumerate_trees(g.alphabet, 5):
+            for q in sorted(g.nonterminals):
+                expected = _brute_derivations(g, tree, q)
+                if len(expected) < 2:
+                    continue
+                got = [d.steps for d in derivations(g, tree, q)]
+                assert got == expected, (seed, term_str(tree), q)
+                semirings.add(g.semiring.name)
+    assert semirings == {"nat", "arctic", "zmod 4"}
 
 
 def test_replay_rejects_wrong_order(fx1):
@@ -280,6 +332,20 @@ def test_deep_tree_evaluates_without_recursion():
         deep = Tree("gamma", [deep])
     weight = _at_default_recursion_limit(lambda: evaluate(g, deep))
     assert weight == 200000
+
+
+def test_deep_derivation_without_recursion(fx1):
+    p1, p2, p3 = (by_id(fx1, pid) for pid in ("p1", "p2", "p3"))
+    tree = t("sigma", gammas(1001, ALPHA), gammas(1000, ALPHA))
+    ds = _at_default_recursion_limit(lambda: derivations(fx1, tree, "q'"))
+    expected = []
+    for root in ((1, 1), (2,)):  # the two chains of 1000 gammas
+        expected.append((p1, root + (1,) * 1000))
+        for depth in reversed(range(1000)):
+            expected.append((p2, root + (1,) * depth))
+    expected.append((p3, ()))
+    assert len(ds) == 1
+    assert ds[0].steps == tuple(expected)
 
 
 def test_shared_tree_costs_its_distinct_objects():

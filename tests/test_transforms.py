@@ -222,14 +222,42 @@ def test_eliminate_zero_preserves_eq_restriction(fx4):
 def test_support_grammar_example1(fx1):
     out = support_grammar(fx1)
     assert out.semiring == BOOLEAN
+    assert out.nonterminals == fx1.nonterminals  # the input's names
+    assert {q: out.final[q] for q in out.nonterminals} == {"q": 0, "q'": 1}
+    assert prods(out) == {"alpha -> q @ 1", "gamma(q) -> q @ 1",
+                          "sigma(gamma(q),q) -> q' [eq 1.1=2] @ 1"}
     for tree in enumerate_trees(fx1.alphabet, 8):
         member = evaluate(fx1, tree) != fx1.semiring.zero
         assert evaluate(out, tree) == (1 if member else 0)
 
 
+def test_support_grammar_reads_back():
+    # fx6 and the zmod 4 seeds are not zero-sum free
+    grammars = [load_grammar(name) for name in ZERO_DIVISOR_FREE_FIXTURES]
+    grammars += [g for g in map(random_wtgc, range(60))
+                 if g.semiring.zero_sum_free]
+    for g in grammars:
+        out = support_grammar(g)
+        assert out.nonterminals <= g.nonterminals
+        assert parse_grammar(serialize_grammar(out)) == out
+        for tree in enumerate_trees(g.alphabet, 4):
+            member = evaluate(g, tree) != g.semiring.zero
+            assert evaluate(out, tree) == int(member), term_str(tree)
+
+
 def test_support_grammar_needs_zero_sum_freeness(fx6):
     with pytest.raises(TransformError, match="not zero-sum free"):
         support_grammar(fx6)
+
+
+def test_support_grammar_needs_zero_divisor_freeness():
+    class Flagless(type(BOOLEAN)):  # a descriptor lacking the flag
+        zero_divisor_free = False
+
+    g = Wtgc({"q"}, RankedAlphabet({"alpha": 0}), {"q": 1},
+             [Production(ALPHA, "q", 1)], Flagless())
+    with pytest.raises(TransformError, match="not zero-divisor free"):
+        support_grammar(g)
 
 
 # -- constraint determination ------------------------------------------------
