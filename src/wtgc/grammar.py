@@ -33,7 +33,15 @@ _UNSET = object()
 def make_constraints(pairs) -> frozenset:
     """Canonicalize a collection of position pairs: each pair ordered,
     the collection a frozenset.  Satisfaction is symmetric, so nothing
-    observable is lost."""
+    observable is lost; a canonical frozenset comes back as it is."""
+    if not pairs:
+        return frozenset()
+    if type(pairs) is frozenset:
+        for v, w in pairs:
+            if type(v) is not tuple or type(w) is not tuple or w < v:
+                break
+        else:
+            return pairs
     out = set()
     for v, w in pairs:
         v, w = tuple(v), tuple(w)
@@ -41,25 +49,34 @@ def make_constraints(pairs) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Production:
-    """lhs --E,I--> target with a semiring weight."""
+    """lhs --E,I--> target with a semiring weight; hashed once, over the
+    fields `__eq__` compares."""
 
+    __slots__ = ("lhs", "target", "weight", "eq", "ineq", "_hash")
     lhs: Tree
     target: str
     weight: object
-    eq: frozenset = frozenset()
-    ineq: frozenset = frozenset()
+    eq: frozenset
+    ineq: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "eq", make_constraints(self.eq))
-        object.__setattr__(self, "ineq", make_constraints(self.ineq))
-        # hashed once, over the fields `__eq__` compares
-        object.__setattr__(self, "_hash", hash(
-            (self.lhs, self.target, self.weight, self.eq, self.ineq)))
+    def __init__(self, lhs, target, weight, eq=frozenset(), ineq=frozenset()):
+        eq, ineq = make_constraints(eq), make_constraints(ineq)
+        init = object.__setattr__
+        init(self, "lhs", lhs)
+        init(self, "target", target)
+        init(self, "weight", weight)
+        init(self, "eq", eq)
+        init(self, "ineq", ineq)
+        init(self, "_hash", hash((lhs, target, weight, eq, ineq)))
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):  # copies and pickles go through __init__
+        return Production, (self.lhs, self.target, self.weight, self.eq,
+                            self.ineq)
 
     def constrained_positions(self):
         out = set()
@@ -100,15 +117,17 @@ class Wtgc:
 
     Instances are immutable after construction; productions are stored
     sorted by their serialized form, which fixes the `p1, p2, ...`
-    identifiers used in derivation output.  Derived views (production
-    identifiers, decompositions, the final support, the classification,
-    the eq-restriction and the weight map of `semantics`) are computed
-    on first use and kept on the instance.
+    identifiers used in derivation output; `spellings` keeps those
+    forms, in the same order, for the writer and the diagnostics.
+    Derived views (production identifiers, decompositions, the final
+    support, the classification, the eq-restriction and the weight map
+    of `semantics`) are computed on first use and kept on the instance.
     """
 
     __slots__ = ("nonterminals", "alphabet", "final", "productions",
-                 "semiring", "_ids", "_decompositions", "_final_support",
-                 "_classification", "_eq_restriction", "_weights")
+                 "spellings", "semiring", "_ids", "_decompositions",
+                 "_final_support", "_classification", "_eq_restriction",
+                 "_weights")
 
     def __init__(self, nonterminals, alphabet: RankedAlphabet, final,
                  productions, semiring: Semiring):
@@ -119,8 +138,10 @@ class Wtgc:
         # `validate` reports them
         self.final = {q: semiring.zero for q in sorted(self.nonterminals)}
         self.final.update(final)
-        self.productions = tuple(sorted(
-            set(productions), key=lambda p: production_str(p, semiring)))
+        spelled = sorted((production_str(p, semiring), i, p)
+                         for i, p in enumerate(set(productions)))
+        self.productions = tuple(p for _, _, p in spelled)
+        self.spellings = tuple(text for text, _, _ in spelled)
         self._ids = None
         self._decompositions = {}
         self._final_support = None
@@ -158,10 +179,10 @@ class Wtgc:
             raise GrammarError("foreign production identifier") from None
 
     def decompose(self, p: Production) -> DecomposedLhs:
-        table = self._decompositions
-        if p not in table:
-            table[p] = decompose(p, self.nonterminals)
-        return table[p]
+        dec = self._decompositions.get(p)
+        if dec is None:
+            dec = self._decompositions[p] = decompose(p, self.nonterminals)
+        return dec
 
     def final_support(self) -> tuple[str, ...]:
         """The nonterminals with a nonzero final weight, sorted."""
@@ -206,7 +227,7 @@ def validate(g: Wtgc) -> list[str]:
         elif not s.contains(weight):
             out.append(f"final weight of {q!r} outside the carrier")
 
-    for p in g.productions:
+    for p, spelling in zip(g.productions, g.spellings):
         found = []
         if p.lhs.label in g.nonterminals and not p.lhs.children:
             found.append("lhs is a bare nonterminal")
@@ -234,9 +255,7 @@ def validate(g: Wtgc) -> list[str]:
             elif p.weight == s.zero:
                 found.append("zero-weight production")
         if found:
-            # spelled only here: the serialization is the slow part
-            pid = production_str(p, s)
-            out.extend(f"{pid}: {problem}" for problem in found)
+            out.extend(f"{spelling}: {problem}" for problem in found)
     return out
 
 

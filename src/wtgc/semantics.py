@@ -9,8 +9,8 @@ trees need no recursion, and DAG-shaped inputs cost only their distinct
 objects.  Per id the map stores the sparse vector of nonzero state
 weights, the initial-algebra weight map, with equal vectors stored once.
 
-Each left-hand side is compiled once from the grammar's decomposition
-(`grammar.decompose`, with the paper's 1-based positions) into flat
+Each left-hand side is compiled once from the decomposition the grammar
+keeps (`Wtgc.decompose`, in the paper's 1-based positions) into flat
 position checks, indexed by root label and arity and then by its first
 nonterminal leaf, so a node only tries the productions whose first leaf
 has a nonzero weight there.
@@ -42,7 +42,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import GrammarError
-from .grammar import Production, Wtgc, decompose
+from .grammar import DecomposedLhs, Production, Wtgc
 from .trees import (
     Position,
     Tree,
@@ -80,7 +80,7 @@ class Derivation:
 class _Plan:
     """One production's left-hand side compiled into flat position checks.
 
-    The plan reads the grammar's decomposition of the lhs, in 1-based
+    The plan reads the decomposition `dec` of the lhs, in 1-based
     positions.  The root label and arity are the key the plan is indexed
     by.  `checks` holds (position, label, arity) for every other lhs node
     below the root in pre-order; `states` and `positions` describe the
@@ -95,8 +95,7 @@ class _Plan:
     __slots__ = ("production", "target", "weight", "checks", "states",
                  "positions", "eq", "ne", "guarded", "flat", "rest")
 
-    def __init__(self, p: Production, nonterminals):
-        dec = decompose(p, nonterminals)
+    def __init__(self, p: Production, dec: DecomposedLhs):
         self.production = p
         self.target = p.target
         self.weight = p.weight
@@ -174,8 +173,9 @@ class WeightMap:
     i and `vectors[i]` its nonzero state weights as (state, weight)
     pairs.  Node objects already walked are remembered by identity (and
     kept alive, so identities stay valid).  The map holds no reference
-    to its grammar.  The public methods take a lock, so one grammar can
-    be shared between threads.
+    to its grammar; it takes each production's decomposition from it
+    when built.  The public methods take a lock, so one grammar can be
+    shared between threads.
     """
 
     __slots__ = ("semiring", "nonterminals", "finals", "_groups", "_heads",
@@ -189,7 +189,7 @@ class WeightMap:
         groups: dict = {}
         for p in g.productions:
             key = (p.lhs.label, len(p.lhs.children))
-            groups.setdefault(key, []).append(p)
+            groups.setdefault(key, []).append((p, g.decompose(p)))
         self._groups = groups
         self._heads = {(p.lhs.label, len(p.lhs.children), p.target)
                        for p in g.productions}
@@ -214,9 +214,8 @@ class WeightMap:
     def _bucket(self, label, arity):
         bucket = self._buckets.get((label, arity))
         if bucket is None:
-            productions = self._groups.get((label, arity), ())
-            bucket = _Bucket([_Plan(p, self.nonterminals)
-                              for p in productions])
+            bucket = _Bucket([_Plan(p, dec) for p, dec
+                              in self._groups.get((label, arity), ())])
             self._buckets[(label, arity)] = bucket
         return bucket
 

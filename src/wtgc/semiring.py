@@ -16,6 +16,7 @@ from operator import add, mul
 from typing import Callable
 
 from .errors import SemiringError
+from .trees import is_decimal
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -160,7 +161,7 @@ class NaturalsSemiring(Semiring):
         return self._sample
 
     def parse(self, text):
-        if text.isdigit():
+        if is_decimal(text):
             return int(text)
         if text == self.format(self.zero):
             return self.zero
@@ -210,7 +211,7 @@ class IntegersMod(Semiring):
         return tuple(range(self.modulus))
 
     def parse(self, text):
-        if text.isdigit() and int(text) < self.modulus:
+        if is_decimal(text) and int(text) < self.modulus:
             return int(text)
         raise SemiringError(f"bad zmod {self.modulus} literal {text!r}")
 
@@ -231,7 +232,7 @@ def semiring_from_name(text: str) -> Semiring:
     parts = text.split()
     if len(parts) == 1 and parts[0] in _FIXED:
         return _FIXED[parts[0]]
-    if len(parts) == 2 and parts[0] == "zmod" and parts[1].isdigit():
+    if len(parts) == 2 and parts[0] == "zmod" and is_decimal(parts[1]):
         return IntegersMod(int(parts[1]))
     raise SemiringError(f"unknown semiring {text!r}")
 

@@ -17,15 +17,17 @@ serialized form) and `parse(serialize(g)) == g` holds bit-exactly.
 from __future__ import annotations
 
 import re
+from functools import cache
 
-from .errors import ParseError
-from .grammar import Production, Wtgc, production_str
+from .errors import InvalidPositionError, ParseError
+from .grammar import Production, Wtgc
 from .homomorphism import TreeHom
 from .semiring import Semiring, semiring_from_name
 from .trees import (
     NAME_RE,
     RankedAlphabet,
     Tree,
+    is_decimal,
     is_variable,
     parse_pos,
     term_str,
@@ -112,7 +114,8 @@ _PROD_RE = re.compile(r"^(?P<lhs>.*?)->(?P<rest>.*)$", re.S)
 _BLOCK_RE = re.compile(r"\[\s*(eq|ne)\s+([^]]*)\]")
 
 
-def _parse_pairs(body: str, line: int):
+def _parse_pairs(body: str, line: int, position):
+    """The pairs of a constraint block, read with `position(text)`."""
     pairs = []
     for chunk in body.split(","):
         chunk = chunk.strip()
@@ -122,8 +125,8 @@ def _parse_pairs(body: str, line: int):
             raise ParseError(f"bad constraint {chunk!r}", line)
         left, right = chunk.split("=", 1)
         try:
-            pairs.append((parse_pos(left.strip()), parse_pos(right.strip())))
-        except Exception:
+            pairs.append((position(left.strip()), position(right.strip())))
+        except InvalidPositionError:
             raise ParseError(f"bad constraint {chunk!r}", line) from None
     return pairs
 
@@ -153,7 +156,7 @@ def parse_grammar(text: str) -> Wtgc:
                 if ":" not in entry:
                     raise ParseError(f"bad alphabet entry {entry!r}", lineno)
                 name, rank = entry.rsplit(":", 1)
-                if not rank.isdigit():
+                if not is_decimal(rank):
                     raise ParseError(f"bad alphabet entry {entry!r}", lineno)
                 if name in alphabet_items:
                     raise ParseError(f"duplicate alphabet symbol {name!r}",
@@ -192,6 +195,7 @@ def parse_grammar(text: str) -> Wtgc:
             raise ParseError(str(exc), lineno) from None
 
     productions = []
+    position = cache(parse_pos)  # each distinct position text parsed once
     for body, lineno in prod_lines:
         m = _PROD_RE.match(body)
         if not m:
@@ -212,7 +216,8 @@ def parse_grammar(text: str) -> Wtgc:
         if not NAME_RE.fullmatch(target_text):
             raise ParseError(f"bad target {target_text!r}", lineno)
         for tag, inner in blocks:
-            (eq if tag == "eq" else ineq).extend(_parse_pairs(inner, lineno))
+            (eq if tag == "eq" else ineq).extend(
+                _parse_pairs(inner, lineno, position))
         productions.append(Production(lhs, target_text, weight, eq, ineq))
 
     try:
@@ -230,8 +235,7 @@ def serialize_grammar(g: Wtgc) -> str:
     for q in sorted(g.nonterminals):
         if g.final[q] != g.semiring.zero:
             lines.append(f"final {q} = {g.semiring.format(g.final[q])}")
-    for p in g.productions:
-        lines.append("prod " + production_str(p, g.semiring))
+    lines += ["prod " + text for text in g.spellings]
     return "\n".join(lines) + "\n"
 
 

@@ -37,6 +37,11 @@ def valid_name(label: str) -> bool:
     return bool(NAME_RE.fullmatch(label))
 
 
+def is_decimal(text: str) -> bool:
+    """ASCII digits only; `str.isdigit` also takes `²` and `٤`."""
+    return text.isascii() and text.isdigit()
+
+
 class RankedAlphabet:
     """Finite map from symbol names to ranks."""
 
@@ -157,13 +162,15 @@ def pos_str(w: Position) -> str:
 def parse_pos(text: str) -> Position:
     if text == "e":
         return ()
+    parts = text.split(".")
     try:
-        parts = tuple(int(p) for p in text.split("."))
-    except ValueError:
-        raise InvalidPositionError(f"bad position {text!r}") from None
-    if any(p < 1 for p in parts):
-        raise InvalidPositionError(f"bad position {text!r}")
-    return parts
+        if all(map(is_decimal, parts)):
+            w = tuple(map(int, parts))
+            if 0 not in w:
+                return w
+    except ValueError:  # more digits than `int` converts
+        pass
+    raise InvalidPositionError(f"bad position {text!r}")
 
 
 def walk(t: Tree):

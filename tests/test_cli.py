@@ -69,6 +69,18 @@ def test_parse_error_exit_code(capsys):
     assert "arity mismatch" in err
 
 
+def test_non_ascii_digit_exits_2(capsys, tmp_path):
+    # `int` refuses the superscript that `str.isdigit` accepts: this was
+    # a traceback and exit 1, the code `decide` uses for "no"
+    path = tmp_path / "g.wtg"
+    path.write_text("semiring nat\nalphabet a:0 f:\u00b2\nnonterminals q\n"
+                    "final q = 1\nprod a -> q @ 1\n")
+    code, out, err = run(capsys, "eval", "--grammar", str(path),
+                         "--tree", "a")
+    assert (code, out) == (2, "")
+    assert "bad alphabet entry" in err
+
+
 def test_transform_with_oracle(capsys, tmp_path):
     out_path = tmp_path / "normalized.wtg"
     code, out, _ = run(capsys, "transform", "normalize",

@@ -1,4 +1,9 @@
-from dataclasses import replace
+import copy
+import pickle
+import random
+import sys
+from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -11,11 +16,20 @@ from wtgc.grammar import (
     classify,
     eq_restriction,
     index_constraints,
+    make_constraints,
     production_str,
     validate,
 )
+from wtgc.semantics import derivations, evaluate
 from wtgc.semiring import ARCTIC, NATURAL, TROPICAL
-from wtgc.trees import RankedAlphabet, Tree, leaf, subtree, walk
+from wtgc.trees import (
+    RankedAlphabet,
+    Tree,
+    enumerate_trees,
+    leaf,
+    subtree,
+    walk,
+)
 
 ABC = RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
 
@@ -294,3 +308,89 @@ def test_production_hash_follows_the_compared_fields():
             assert hash(moved) == hash(
                 Production(p.lhs, p.target + "'", p.weight, p.eq, p.ineq))
             assert {moved, flipped} == {p, replace(moved)}
+
+
+def _full_canonical(pairs):
+    """Every pair rebuilt as a tuple of tuples, smaller position first."""
+    return frozenset(tuple(sorted((tuple(v), tuple(w)))) for v, w in pairs)
+
+
+def test_production_contract():
+    p = Production(t("sigma", leaf("q"), leaf("q")), "q", 2,
+                   [((2,), (1,))], [((1, 1), (2,))])
+    for name in ("lhs", "target", "weight", "eq", "ineq", "_hash"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(p, name)
+    assert not hasattr(p, "__dict__")
+    assert replace(p) == p and hash(replace(p)) == hash(p)
+    moved = replace(p, target="r")
+    assert (moved.target, moved.lhs, moved.eq) == ("r", p.lhs, p.eq)
+    assert repr(p).startswith("Production(lhs=Tree('sigma(q,q)'), ")
+    for copied in (copy.copy(p), copy.deepcopy(p),
+                   pickle.loads(pickle.dumps(p))):
+        assert copied == p and hash(copied) == hash(p)
+
+
+def test_constraint_fast_path_matches_full_canonicalization():
+    rng = random.Random(7)
+    pool = [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (3,), (1, 1, 1)]
+    kinds = Counter()
+    for _ in range(3000):
+        pairs = [(rng.choice(pool), rng.choice(pool))
+                 for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.3:  # list-valued positions
+            pairs = [(list(v), w) for v, w in pairs]
+        if rng.random() < 0.5:  # reversed pairs
+            pairs = [(w, v) for v, w in pairs]
+        want = _full_canonical(pairs)
+        as_tuples = frozenset((tuple(v), tuple(w)) for v, w in pairs)
+        for given in (pairs, as_tuples, want, set(want)):
+            got = make_constraints(given)
+            assert got == want and type(got) is frozenset
+            canonical = type(given) is frozenset and given == want
+            if want:
+                # a canonical frozenset is kept, anything else rebuilt
+                assert (got is given) == canonical
+            kinds[canonical, bool(want)] += 1
+    assert min(kinds.values()) > 100 and len(kinds) == 4
+
+
+def test_one_decomposition_per_production_per_grammar(monkeypatch):
+    calls = []
+    original = grammar.decompose
+
+    def counted(p, nonterminals):
+        calls.append(p)
+        return original(p, nonterminals)
+
+    # every module that bound the function by name counts too
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("wtgc")
+                and getattr(module, "decompose", None) is original):
+            monkeypatch.setattr(module, "decompose", counted)
+
+    def analyses(g):
+        classify(g)
+        eq_restriction(g)
+
+    def weights(g):
+        for tree in enumerate_trees(g.alphabet, 5):
+            evaluate(g, tree)
+            for q in sorted(g.nonterminals):
+                derivations(g, tree, q)
+
+    sources = ([lambda name=name: load_grammar(name) for name in
+                ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5", "fx6")]
+               + [lambda seed=seed: random_wtgc(seed) for seed in range(30)]
+               + [lambda seed=seed: random_eq_restricted(seed)
+                  for seed in range(30)])
+    for source in sources:
+        for first, then in (analyses, weights), (weights, analyses):
+            g = source()
+            calls.clear()
+            first(g)
+            then(g)
+            assert len(calls) == len(g.productions)
+            assert set(calls) == set(g.productions)

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES, load_grammar, load_hom, t
+from wtgc import syntax
 from wtgc.errors import ParseError
 from wtgc.grammar import classify
 from wtgc.syntax import (
@@ -12,7 +13,14 @@ from wtgc.syntax import (
     serialize_grammar,
     serialize_hom,
 )
-from wtgc.trees import RankedAlphabet, Tree, enumerate_trees, leaf, term_str
+from wtgc.trees import (
+    RankedAlphabet,
+    Tree,
+    enumerate_trees,
+    leaf,
+    parse_pos,
+    term_str,
+)
 
 ABC = RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
 FIXTURE_NAMES = ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5", "fx6")
@@ -148,6 +156,65 @@ def test_duplicate_entries_are_rejected(header, entries, message):
     with pytest.raises(ParseError) as info:
         parse_grammar(text)
     assert str(info.value) == message
+
+
+# numeric literals are ASCII digit strings: `str.isdigit` also takes
+# superscripts, which `int` refuses, and other scripts' digits, which it
+# reads as numbers
+@pytest.mark.parametrize("semiring, alphabet, line, message", [
+    ("nat", "a:0 f:\u00b2", "prod a -> q @ 1", "bad alphabet entry"),
+    ("nat", "a:0 f:\u0664", "prod a -> q @ 1", "bad alphabet entry"),
+    ("zmod \u0664", "a:0", "prod a -> q @ 1", "unknown semiring"),
+    ("nat", "a:0", "prod a -> q @ \u0663", "bad nat literal"),
+    ("nat", "a:0", "final q = \u0661", "bad nat literal"),
+    ("tropical", "a:0", "prod a -> q @ \u0661", "bad tropical literal"),
+    ("arctic", "a:0", "prod a -> q @ \u00b9", "bad arctic literal"),
+    ("zmod 5", "a:0", "prod a -> q @ \u0664", "bad zmod 5 literal"),
+    ("nat", "a:0 f:2", "prod f(q,q) -> q [eq +1=2] @ 1", "bad constraint"),
+    ("nat", "a:0 f:2", "prod f(q,q) -> q [eq 1_0=2] @ 1", "bad constraint"),
+    ("nat", "a:0 f:2", "prod f(q,q) -> q [ne 1. 2=2] @ 1",
+     "bad constraint"),
+    ("nat", "a:0 f:2", "prod f(q,q) -> q [eq \u0661=2] @ 1",
+     "bad constraint"),
+])
+def test_numeric_literals_are_ascii_digits(semiring, alphabet, line,
+                                           message):
+    text = "\n".join([f"semiring {semiring}", f"alphabet {alphabet}",
+                      "nonterminals q", line, "prod a -> q @ 1"])
+    with pytest.raises(ParseError, match=message):
+        parse_grammar(text)
+
+
+def test_leading_zeros_stay_accepted():
+    g = parse_grammar("\n".join([
+        "semiring zmod 05", "alphabet a:0 f:02", "nonterminals q",
+        "final q = 01", "prod a -> q @ 04",
+        "prod f(q,q) -> q [eq 01=02.01] @ 003"]))
+    assert g.semiring.name == "zmod 5" and g.alphabet.rank("f") == 2
+    assert {p.weight for p in g.productions} == {3, 4}
+    (p,) = [p for p in g.productions if p.eq]
+    assert p.eq == {((1,), (2, 1))} and g.final["q"] == 1
+
+
+def test_each_position_text_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_pos(text)
+
+    monkeypatch.setattr(syntax, "parse_pos", counted)
+    g = parse_grammar("\n".join([
+        "semiring nat", "alphabet a:0 f:2", "nonterminals q r",
+        "prod f(q,q) -> q [eq 1=2] [ne 1.1=2] @ 1",
+        "prod f(q,r) -> q [eq 1 = 2, 2=1.1] @ 2",
+        "prod f(r,r) -> r [ne 2=1.1] @ 1", "prod a -> q @ 1"]))
+    assert sorted(calls) == ["1", "1.1", "2"]
+    assert len(g.productions) == 4
+    # the memo lives for one call only
+    parse_grammar("semiring nat\nalphabet a:0 f:2\nnonterminals q\n"
+                  "prod f(q,q) -> q [eq 1=2] @ 1")
+    assert sorted(calls) == ["1", "1", "1.1", "2", "2"]
 
 
 def test_round_trip_all_fixtures():

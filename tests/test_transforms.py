@@ -12,7 +12,7 @@ from conftest import (
 )
 from wtgc import transforms
 from wtgc.decision import productivity
-from wtgc.errors import TransformError
+from wtgc.errors import SemiringError, TransformError
 from wtgc.grammar import (
     Production,
     Wtgc,
@@ -625,3 +625,64 @@ def test_fresh_names_avoid_adversarial_symbols():
     stage = hom_image_stage_one(wta, identity)
     assert stage.nonterminals == {"q", "bot''"}
     assert_equivalent(wta, image_grammar(wta, identity), 3)
+
+
+# -- the spellings a grammar keeps --------------------------------------------
+
+
+def _spelling_writer(g):
+    """The writer that spelled every production again on each call: the
+    reference for the spellings a grammar keeps."""
+    s = g.semiring
+    lines = [f"semiring {s.name}", "alphabet " + " ".join(
+        f"{n}:{r}" for n, r in g.alphabet.symbols())]
+    if g.nonterminals:
+        lines.append("nonterminals " + " ".join(sorted(g.nonterminals)))
+    lines += [f"final {q} = {s.format(g.final[q])}"
+              for q in sorted(g.nonterminals) if g.final[q] != s.zero]
+    lines += ["prod " + production_str(p, s) for p in g.productions]
+    return "\n".join(lines) + "\n"
+
+
+def _every_construction(g):
+    """The output of every construction that accepts g (and g itself)."""
+    from wtgc.semiring import identity_hom
+
+    n = normalize(g)
+    builds = [lambda: g, lambda: n, lambda: boolean_finals(g),
+              lambda: eliminate_zero_derivations(g),
+              lambda: support_grammar(g), lambda: constraint_determine(n),
+              lambda: disjoint_union(g, g), lambda: hadamard(g, g),
+              lambda: support_automaton(g), lambda: complement_support(g),
+              lambda: transforms.lift_boolean(support_grammar(g),
+                                              g.semiring)]
+    if g.semiring.finite and len(g.productions) <= 4:
+        builds.append(lambda: disambiguate(n, identity_hom(g.semiring)))
+    if eq_restriction(g) is not None:
+        builds.append(lambda: relabel(g, {name: name
+                                          for name in g.alphabet}))
+    for build in builds:
+        try:
+            yield build()
+        except (TransformError, SemiringError):  # a refused semiring
+            continue
+
+
+def test_kept_spellings_are_the_production_spellings(fx3, fx3_hom):
+    fixtures = [load_grammar(name) for name in ZERO_DIVISOR_FREE_FIXTURES]
+    grammars = fixtures + [load_grammar("fx6")]
+    grammars += map(random_wtgc, range(60))
+    grammars += map(random_eq_restricted, range(60))
+    # restriction is a Hadamard product with a lifted support automaton,
+    # both built for every grammar below; on most of these grammars it
+    # takes seconds each
+    fx2g, fx2gp = fixtures[1:3]
+    outputs = [image_grammar(fx3, fx3_hom), restrict_support(fx2g, fx2gp),
+               restrict_support(fx2gp, fx2g)]
+    for g in grammars:
+        outputs += _every_construction(g)
+    assert len(outputs) > 1000
+    for out in outputs:
+        assert out.spellings == tuple(production_str(p, out.semiring)
+                                      for p in out.productions)
+        assert serialize_grammar(out) == _spelling_writer(out)

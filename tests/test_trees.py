@@ -198,6 +198,16 @@ def test_pos_str_round_trip():
     assert pos_str((1, 1)) == "1.1"
     with pytest.raises(InvalidPositionError):
         parse_pos("0.1")
+    assert parse_pos("01.002") == (1, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "+1", "1_0", "1. 2", " 1", "1.", "", "\u0661", "\u00b2", "1.\u0664",
+    "1" * 5000])
+def test_parse_pos_takes_ascii_decimal_components_only(text):
+    # `int` alone reads "+1" as 1, "1_0" as 10 and " 2" as 2
+    with pytest.raises(InvalidPositionError):
+        parse_pos(text)
 
 
 def test_enumerate_trees_canonical():
