@@ -28,6 +28,7 @@ from .trees import (
 
 
 _UNSET = object()
+_EMPTY = frozenset()  # shared by every production without constraints
 
 
 def make_constraints(pairs) -> frozenset:
@@ -35,7 +36,7 @@ def make_constraints(pairs) -> frozenset:
     the collection a frozenset.  Satisfaction is symmetric, so nothing
     observable is lost; a canonical frozenset comes back as it is."""
     if not pairs:
-        return frozenset()
+        return _EMPTY
     if type(pairs) is frozenset:
         for v, w in pairs:
             if type(v) is not tuple or type(w) is not tuple or w < v:
@@ -51,8 +52,7 @@ def make_constraints(pairs) -> frozenset:
 
 @dataclass(frozen=True, init=False)
 class Production:
-    """lhs --E,I--> target with a semiring weight; hashed once, over the
-    fields `__eq__` compares."""
+    """lhs --E,I--> target with a semiring weight, hashed once."""
 
     __slots__ = ("lhs", "target", "weight", "eq", "ineq", "_hash")
     lhs: Tree
@@ -61,7 +61,7 @@ class Production:
     eq: frozenset
     ineq: frozenset
 
-    def __init__(self, lhs, target, weight, eq=frozenset(), ineq=frozenset()):
+    def __init__(self, lhs, target, weight, eq=_EMPTY, ineq=_EMPTY):
         eq, ineq = make_constraints(eq), make_constraints(ineq)
         init = object.__setattr__
         init(self, "lhs", lhs)
@@ -138,10 +138,11 @@ class Wtgc:
         # `validate` reports them
         self.final = {q: semiring.zero for q in sorted(self.nonterminals)}
         self.final.update(final)
-        spelled = sorted((production_str(p, semiring), i, p)
-                         for i, p in enumerate(set(productions)))
-        self.productions = tuple(p for _, _, p in spelled)
-        self.spellings = tuple(text for text, _, _ in spelled)
+        productions = list(set(productions))
+        spellings = [production_str(p, semiring) for p in productions]
+        order = sorted(range(len(productions)), key=spellings.__getitem__)
+        self.productions = tuple([productions[i] for i in order])
+        self.spellings = tuple([spellings[i] for i in order])
         self._ids = None
         self._decompositions = {}
         self._final_support = None

@@ -173,14 +173,13 @@ class WeightMap:
     i and `vectors[i]` its nonzero state weights as (state, weight)
     pairs.  Node objects already walked are remembered by identity (and
     kept alive, so identities stay valid).  The map holds no reference
-    to its grammar; it takes each production's decomposition from it
-    when built.  The public methods take a lock, so one grammar can be
-    shared between threads.
+    to its grammar, only to its table of decompositions.  The public
+    methods take a lock, so one grammar can be shared between threads.
     """
 
     __slots__ = ("semiring", "nonterminals", "finals", "_groups", "_heads",
-                 "_exact", "_buckets", "_ids", "keys", "vectors", "_seen",
-                 "_alive", "_alts", "_distinct", "_lock")
+                 "_decompositions", "_exact", "_buckets", "_ids", "keys",
+                 "vectors", "_seen", "_alive", "_alts", "_distinct", "_lock")
 
     def __init__(self, g: Wtgc):
         self.semiring = g.semiring
@@ -188,9 +187,10 @@ class WeightMap:
         self.finals = tuple((q, g.final[q]) for q in g.final_support())
         groups: dict = {}
         for p in g.productions:
-            key = (p.lhs.label, len(p.lhs.children))
-            groups.setdefault(key, []).append((p, g.decompose(p)))
+            groups.setdefault((p.lhs.label, len(p.lhs.children)), []).append(p)
+            g.decompose(p)  # filed in the table the plans read
         self._groups = groups
+        self._decompositions = g._decompositions
         self._heads = {(p.lhs.label, len(p.lhs.children), p.target)
                        for p in g.productions}
         # Over a zero-sum free and zero-divisor free semiring a state
@@ -214,8 +214,8 @@ class WeightMap:
     def _bucket(self, label, arity):
         bucket = self._buckets.get((label, arity))
         if bucket is None:
-            bucket = _Bucket([_Plan(p, dec) for p, dec
-                              in self._groups.get((label, arity), ())])
+            bucket = _Bucket([_Plan(p, self._decompositions[p])
+                              for p in self._groups.get((label, arity), ())])
             self._buckets[(label, arity)] = bucket
         return bucket
 

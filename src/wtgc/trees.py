@@ -164,13 +164,12 @@ def parse_pos(text: str) -> Position:
         return ()
     parts = text.split(".")
     try:
-        if all(map(is_decimal, parts)):
-            w = tuple(map(int, parts))
-            if 0 not in w:
-                return w
-    except ValueError:  # more digits than `int` converts
-        pass
-    raise InvalidPositionError(f"bad position {text!r}")
+        w = tuple(map(int, parts))
+    except ValueError:  # not a number, or more digits than `int` reads
+        w = ()
+    if not w or 0 in w or not all(map(is_decimal, parts)):
+        raise InvalidPositionError(f"bad position {text!r}")
+    return w
 
 
 def walk(t: Tree):
