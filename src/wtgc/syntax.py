@@ -34,9 +34,9 @@ from .trees import (
     walk,
 )
 
-# every token of a term in one `findall`: names and punctuation, plus an
-# empty match at each non-space character that starts neither
-_TOKENS_RE = re.compile(rf"{NAME_RE.pattern}|[(),]|(?=\S)")
+# names and punctuation; what they leave of a term is spaces and bad
+# characters
+_TOKENS_RE = re.compile(rf"{NAME_RE.pattern}|[(),]")
 _PUNCTUATION = frozenset("(),")
 
 
@@ -50,30 +50,32 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None,
     allowed, and are rejected otherwise.
 
     Nothing recurses: open nodes wait on an explicit stack, so any depth
-    parses.  Equal subtrees of the term come back as one shared object,
-    built and checked once per distinct (label, children) (trees are
-    immutable, so only `is` can tell), and the weight map then walks the
-    distinct nodes only.
+    parses.  Equal subtrees come back as one shared object, built and
+    checked once per distinct (label, children); a right sibling spelled
+    like its left neighbour is that node, found by comparing the two
+    spans up to their first difference, O(n log n) characters in all.
     """
-    tokens = _TOKENS_RE.findall(text)
-    if "" in tokens:
-        # what the tokens leave is whitespace and the bad characters
+    tokens = text.replace("(", " ( ").replace(")", " ) ").replace(
+        ",", " , ").split()  # what `_TOKENS_RE` finds when all runs are names
+    if not all(map(NAME_RE.fullmatch, set(tokens) - _PUNCTUATION)):
         bad = _TOKENS_RE.sub("", text).split()[0][0]
         raise ParseError(f"unexpected character {bad!r}", line)
     tokens.append("")  # end marker; no token is empty now
     shared: dict = {}  # (label, ids of the shared children) -> its Tree
-    stack: list = []   # (label, children so far) of each open node
-    pos = 0
+    stack: list = []   # (label, children so far, its offset) per open node
+    pos, char, view = 0, 0, None  # char: offset in the tokens joined by " "
     while True:
         label = tokens[pos]
         pos += 1
+        char += len(label) + 1
         if not label:
             raise ParseError("unexpected end of term", line)
         if label in _PUNCTUATION:
             raise ParseError(f"expected a name, found {label!r}", line)
         if tokens[pos] == "(":
             pos += 1
-            stack.append((label, []))
+            stack.append((label, [], char - len(label) - 1))
+            char += 2
             continue
         children = ()
         while True:  # finish this node, then every parent it closes
@@ -98,16 +100,26 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None,
                 if tokens[pos]:
                     raise ParseError(f"trailing input {tokens[pos]!r}", line)
                 return node
-            label, children = stack[-1]
-            children.append(node)
+            stack[-1][1].append(node)
             tok = tokens[pos]
             pos += 1
+            char += 2  # tok is one character, or an error below
+            # node is view[start:char - 2]; is the next sibling the same?
+            while tok == "," and children and tokens[pos] == label:
+                if view is None:
+                    view = memoryview(" ".join(tokens).encode())
+                if view[start:char - 2] != view[char:2 * char - 2 - start]:
+                    break
+                stack[-1][1].append(node)
+                pos += view.obj.count(b" ", start, char)
+                start, char = char, 2 * char - start
+                tok = tokens[pos - 1]
             if tok == ",":
                 break
             if tok != ")":
                 raise ParseError(f"expected ')', found {tok!r}" if tok
                                  else "unexpected end of term", line)
-            stack.pop()
+            label, children, start = stack.pop()
 
 
 _PROD_RE = re.compile(r"^(?P<lhs>.*?)->(?P<rest>.*)$", re.S)
@@ -161,7 +173,10 @@ def parse_grammar(text: str) -> Wtgc:
                 if name in alphabet_items:
                     raise ParseError(f"duplicate alphabet symbol {name!r}",
                                      lineno)
-                alphabet_items[name] = int(rank)
+                try:
+                    alphabet_items[name] = int(rank)
+                except ValueError:  # more digits than `int` reads
+                    raise ParseError("rank too long", lineno) from None
         elif keyword == "nonterminals":
             nonterminals.extend(rest.split())
         elif keyword == "final":
@@ -274,8 +289,11 @@ def parse_hom(text: str, source: RankedAlphabet | None = None) -> TreeHom:
         for _, node in walk(rhs):
             arity = len(node.children)
             if not arity and is_variable(node.label):
-                source_ranks[name] = max(source_ranks[name],
-                                         int(node.label[1:]))
+                try:
+                    index = int(node.label[1:])
+                except ValueError:  # more digits than `int` reads
+                    raise ParseError(f"too many digits in {name!r}") from None
+                source_ranks[name] = max(source_ranks[name], index)
             elif target_ranks.setdefault(node.label, arity) != arity:
                 raise ParseError(f"inconsistent rank for {node.label!r}")
     if source is None:

@@ -141,6 +141,9 @@ class Tree:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # rebuilt, so the string hashes are this process's
+        return Tree, (self.label, self.children)
+
     def __repr__(self):
         return f"Tree({term_str(self)!r})"
 
@@ -150,9 +153,13 @@ def leaf(label: str) -> Tree:
 
 
 def term_str(t: Tree) -> str:
-    if not t.children:
-        return t.label
-    return f"{t.label}({','.join(term_str(c) for c in t.children)})"
+    """t's text; a child that is its left neighbour is spelled once."""
+    texts, last = [], None
+    for c in t.children:  # a loop: one Python frame per level
+        if c is not last:
+            last, text = c, term_str(c) if c.children else c.label
+        texts.append(text)
+    return f"{t.label}({','.join(texts)})" if texts else t.label
 
 
 def pos_str(w: Position) -> str:

@@ -7,11 +7,12 @@ stderr, and, for `--out`, the file written.  The checkout and the
 temporary directory are masked, and help is formatted 80 columns wide.
 The matrix runs every fixture through every construction with its
 oracle, the decisions, evaluation, derivations (also on an ambiguous
-grammar, where trees have several), relabeling, the image,
-pumping, the separation family and the oracle battery, then the error
-paths, `--help` of every command and the usage errors.  Run it in two
-checkouts and compare the files byte for byte to show that a change
-keeps the command line's behaviour.  Not part of the test suite.
+grammar, where trees have several, and on terms with repeated siblings),
+relabeling, the image, pumping, the separation family and the oracle
+battery, then the error paths, `--help` of every command and the usage
+errors.  Run it in two checkouts and compare the files byte for byte to
+show that a change keeps the command line's behaviour.  Not part of the
+test suite.
 """
 
 import contextlib
@@ -93,6 +94,16 @@ def matrix(tmp):
     yield ["pump", "--grammar", fx("fx4.wtg"), "--tree", tree,
            "--count", "-1"]
     yield ["separation", "--n", "3"]
+    # repeated siblings: written with spaces, and the separation family
+    shared = ["--grammar", fx("fx2g.wtg"), "--tree",
+              "sigma( gamma(alpha) , gamma(alpha) )"]
+    tree = "g(a,a)"
+    for _ in range(3):
+        tree = f"f({tree},{tree})"
+    separation = ["--grammar", fx("fx5.wtg"), "--tree", tree]
+    for g in (shared, separation):
+        yield ["eval", *g]
+        yield ["derivs", *g]
     yield ["separation", "--n", "0"]
     yield ["oracle", "--fixtures", str(FIXTURES), "--size", "4"]
     yield ["transform", "normalize", "--grammar", fx("fx1.wtg"),

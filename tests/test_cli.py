@@ -81,6 +81,29 @@ def test_non_ascii_digit_exits_2(capsys, tmp_path):
     assert "bad alphabet entry" in err
 
 
+DIGITS = "1" * 5000  # more than `int` reads by default
+
+
+@pytest.mark.parametrize("kind", ["rank", "hom-variable"])
+def test_overlong_numbers_exit_2(capsys, tmp_path, kind):
+    # these were a ValueError traceback and exit 1
+    if kind == "rank":
+        path = tmp_path / "g.wtg"
+        path.write_text(f"semiring nat\nalphabet a:0 f:{DIGITS}\n"
+                        "nonterminals q\nprod a -> q @ 1\n")
+        argv = ["eval", "--grammar", str(path)]
+        message = "rank too long at line 2"
+    else:
+        path = tmp_path / "h.hom"
+        path.write_text("hom\nalpha -> alpha\ngamma -> x1\nepsilon -> x1\n"
+                        f"phi -> gamma(x{DIGITS})\n")
+        argv = ["image-eval", "--grammar", fx("fx3.wtg"), "--hom", str(path)]
+        message = "too many digits in 'phi'"
+    code, out, err = run(capsys, *argv, "--tree", "alpha")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_transform_with_oracle(capsys, tmp_path):
     out_path = tmp_path / "normalized.wtg"
     code, out, _ = run(capsys, "transform", "normalize",

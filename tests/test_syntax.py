@@ -185,6 +185,20 @@ def test_numeric_literals_are_ascii_digits(semiring, alphabet, line,
         parse_grammar(text)
 
 
+def test_overlong_rank_is_a_parse_error():
+    # `int` reads at most 4300 digits by default and raises ValueError
+    text = "\n".join(["semiring nat", "alphabet a:0 f:" + "1" * 5000,
+                      "nonterminals q", "prod a -> q @ 1"])
+    with pytest.raises(ParseError, match="^rank too long at line 2$"):
+        parse_grammar(text)
+
+
+def test_overlong_hom_variable_is_a_parse_error():
+    text = f"hom\nalpha -> alpha\nphi -> gamma(x{'1' * 5000})\n"
+    with pytest.raises(ParseError, match="^too many digits in 'phi'$"):
+        parse_hom(text)
+
+
 def test_leading_zeros_stay_accepted():
     g = parse_grammar("\n".join([
         "semiring zmod 05", "alphabet a:0 f:02", "nonterminals q",

@@ -1,11 +1,16 @@
+import copy
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import gammas, t
+import wtgc
 from wtgc.errors import InvalidPositionError
 from wtgc.trees import (
     RankedAlphabet,
@@ -269,3 +274,75 @@ def test_enumeration_cache_is_thread_safe():
                 assert bucket and all(x.size == n for x in bucket), n
     finally:
         sys.setswitchinterval(old)
+
+
+def test_term_str_spells_a_repeated_child_once(monkeypatch):
+    a = t("g", ALPHA)
+    assert term_str(t("f", t("f", a, a), t("f", a, a))) == (
+        "f(f(g(alpha),g(alpha)),f(g(alpha),g(alpha)))")
+    assert term_str(t("f", a, t("g", ALPHA))) == "f(g(alpha),g(alpha))"
+    tree, text = ALPHA, "alpha"
+    for _ in range(10):
+        tree, text = t("f", tree, tree), f"f({text},{text})"
+    calls = []
+    spell = wtgc.trees.term_str
+
+    def counted(node):
+        calls.append(node)
+        return spell(node)
+
+    monkeypatch.setattr(wtgc.trees, "term_str", counted)  # the recursion too
+    assert counted(tree) == text
+    assert len(calls) == 10  # one per distinct inner node, not 2047
+
+
+def test_term_str_takes_one_frame_per_level():
+    # a generator inside `join` took two, so 480 levels were too many
+    tree = gammas(700, ALPHA)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = term_str(tree)
+    finally:
+        sys.setrecursionlimit(old)
+    assert text == "gamma(" * 700 + "alpha" + ")" * 700
+
+
+_PICKLE = """
+import pickle, sys
+from wtgc.grammar import Production
+from wtgc.trees import Tree, leaf
+a = Tree("gamma", [leaf("alpha")])
+trees = [leaf("alpha"), Tree("sigma", [a, a])]
+prods = [Production(tree, "q", 1, [((1,), (2,))] if tree.children else [])
+         for tree in trees]
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps((trees, prods)))
+else:
+    loaded, loaded_prods = pickle.loads(sys.stdin.buffer.read())
+    for old, new in zip(loaded + loaded_prods, trees + prods):
+        assert old == new and hash(old) == hash(new) and old in {new}, old
+    assert loaded[1].children[0] is loaded[1].children[1]
+    print("ok")
+"""
+
+
+def test_pickles_read_back_under_another_hash_seed():
+    src = str(Path(wtgc.__file__).resolve().parent.parent)
+
+    def python(seed, *args, **kwargs):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", _PICKLE, *args],
+                              env=env, capture_output=True, check=True,
+                              timeout=60, **kwargs).stdout
+
+    dumped = python("1", "dump")
+    assert python("2", "load", input=dumped) == b"ok\n"
+
+
+def test_copies_keep_hash_and_sharing():
+    a = t("gamma", ALPHA)
+    tree = t("sigma", a, a)
+    for copied in (copy.copy(tree), copy.deepcopy(tree)):
+        assert copied == tree and hash(copied) == hash(tree)
+        assert copied.children[0] is copied.children[1]
