@@ -60,7 +60,8 @@ class TreeHom:
 def _check_rhs(t: Tree, rank: int, target: RankedAlphabet):
     for _, node in walk(t):
         if not node.children and is_variable(node.label):
-            if int(node.label[1:]) > rank:
+            index = node.label[1:]  # no leading zeros: longer is larger
+            if len(index) > len(str(rank)) or int(index) > rank:
                 raise HomomorphismError(f"variable {node.label} out of range")
         elif node.label not in target:
             raise HomomorphismError(

@@ -106,6 +106,18 @@ def saturate(rules: dict, fire) -> dict:
     return {key: list(pool) for key, pool in pools.items()}
 
 
+def weighted_productions(s: Semiring, items) -> set:
+    """The productions of `((lhs, target, eq, ineq), weight)` items, one
+    per key: equal keys add their weights, and a key whose weights sum
+    to zero is dropped."""
+    sums: dict = {}
+    for key, weight in items:
+        sums[key] = s.add(sums[key], weight) if key in sums else weight
+    return {Production(lhs, target, weight, eq, ineq)
+            for (lhs, target, eq, ineq), weight in sums.items()
+            if weight != s.zero}
+
+
 # -- normalization ---------------------------------------------------------
 
 
@@ -157,16 +169,14 @@ def boolean_finals(g: Wtgc) -> Wtgc:
     names = Names(set(g.nonterminals) | set(g.alphabet.names()),
                   lambda q: q + "#f")
     copies = {q: names[q] for q in g.final_support()}
-    productions = set(g.productions)
-    for p in g.productions:
-        if p.target in copies:
-            weight = s.mul(p.weight, g.final[p.target])
-            if weight != s.zero:
-                productions.add(Production(p.lhs, copies[p.target], weight,
-                                           p.eq, p.ineq))
+    accepting = weighted_productions(s, (
+        ((p.lhs, copies[p.target], p.eq, p.ineq),
+         s.mul(p.weight, g.final[p.target]))
+        for p in g.productions if p.target in copies))
     final = {q: s.zero for q in g.nonterminals}
     final.update({c: s.one for c in copies.values()})
-    return Wtgc(set(final), g.alphabet, final, productions, s)
+    return Wtgc(set(final), g.alphabet, final,
+                set(g.productions) | accepting, s)
 
 
 # -- elimination of zero-weight derivations --------------------------------
@@ -291,46 +301,34 @@ def disjoint_union(g: Wtgc, g2: Wtgc) -> Wtgc:
 
 
 def hadamard(g: Wtgc, g2: Wtgc) -> Wtgc:
-    """Pointwise semiring product, via the pair construction on
-    constraint-determined WTAc (inputs are normalized and determined on
-    demand); only the pairs reached bottom-up become nonterminals."""
+    """Pointwise semiring product, via the pair construction on WTAc
+    (inputs are normalized on demand); equal pair productions add their
+    weights, and only the pairs reached bottom-up through nonzero
+    productions become nonterminals."""
     _check_compatible(g, g2)
     s = g.semiring
-    a = _determined(g)
-    b = _determined(g2)
+    a, b = normalize(g), normalize(g2)
     by_symbol = {}
     for p2 in b.productions:
-        by_symbol.setdefault(p2.lhs.label, []).append(p2)
-    rules = {}
+        by_symbol.setdefault(p2.lhs.label, []).append(
+            (p2, b.decompose(p2).states))
+    names = Names(g.alphabet.names(), lambda xy: f"{xy[0]}*{xy[1]}")
+    items = []
     for p in a.productions:
         states = a.decompose(p).states
-        for p2 in by_symbol.get(p.lhs.label, ()):
-            if s.mul(p.weight, p2.weight) != s.zero:
-                rules[(p, p2)] = tuple(zip(states, b.decompose(p2).states))
-    names = Names(g.alphabet.names(), lambda xy: f"{xy[0]}*{xy[1]}")
-    productions = set()
-
-    def fire(rule, _):
-        p, p2 = rule
-        lhs = Tree(p.lhs.label, [leaf(names[xy]) for xy in rules[rule]])
-        xy = (p.target, p2.target)
-        productions.add(Production(lhs, names[xy], s.mul(p.weight, p2.weight),
-                                   p.eq | p2.eq, p.ineq | p2.ineq))
-        return ((xy, True),)
-
-    pairs = saturate(rules, fire)
-    final = {names[x, y]: s.mul(a.final[x], b.final[y]) for x, y in pairs}
+        for p2, states2 in by_symbol.get(p.lhs.label, ()):
+            lhs = Tree(p.lhs.label,
+                       [leaf(names[xy]) for xy in zip(states, states2)])
+            items.append(((lhs, names[p.target, p2.target], p.eq | p2.eq,
+                           p.ineq | p2.ineq), s.mul(p.weight, p2.weight)))
+    rules = {p: tuple(c.label for c in p.lhs.children)
+             for p in weighted_productions(s, items)}
+    reached = saturate(rules, lambda p, _: ((p.target, True),))
+    productions = [p for p, slots in rules.items()
+                   if all(q in reached for q in slots)]
+    final = {names[xy]: s.mul(a.final[xy[0]], b.final[xy[1]])
+             for xy in names if names[xy] in reached}
     return Wtgc(set(final), g.alphabet, final, productions, s)
-
-
-def _determined(g: Wtgc) -> Wtgc:
-    cls = classify(g)
-    if not cls.normalized:
-        g = normalize(g)
-        cls = classify(g)
-    if not cls.constraint_determined:
-        g = constraint_determine(g)
-    return g
 
 
 def _check_compatible(g: Wtgc, g2: Wtgc):
@@ -490,14 +488,8 @@ def relabel(g: Wtgc, pi: dict[str, str],
             return t
         return Tree(pi[t.label], [relabel_tree(c) for c in t.children])
 
-    collected: dict[tuple, object] = {}
-    for p in g.productions:
-        if p.target == er.sink:
-            continue
-        key = (relabel_tree(p.lhs), p.target, p.eq)
-        collected[key] = s.add(collected.get(key, s.zero), p.weight)
-    productions = {Production(lhs, target, weight, eq)
-                   for (lhs, target, eq), weight in collected.items()
-                   if weight != s.zero}
+    productions = weighted_productions(s, (
+        ((relabel_tree(p.lhs), p.target, p.eq, p.ineq), p.weight)
+        for p in g.productions if p.target != er.sink))
     productions |= sink_productions(target_alphabet, er.sink, s.one)
     return Wtgc(g.nonterminals, target_alphabet, g.final, productions, s)

@@ -7,7 +7,9 @@ from conftest import FIXTURES
 from wtgc import cli, transforms
 from wtgc.cli import main
 from wtgc.grammar import Wtgc
+from wtgc.semantics import evaluate
 from wtgc.syntax import parse_grammar
+from wtgc.trees import leaf
 
 
 def fx(name):
@@ -130,6 +132,24 @@ def test_product_matches_closed_form(capsys):
     assert "gamma(q*z) -> q*z [ne 1.1=1.2] @ 3" in out
 
 
+def test_product_adds_equal_pair_productions(capsys, tmp_path):
+    # alpha -> q @ 1 and @ 3 pair with alpha -> z @ 2 into two equal
+    # productions, 2 + 2 = 0 in zmod 4; without --oracle-size nothing
+    # else checks the printed grammar
+    paths = []
+    for name, text in (("g", "nonterminals q\nfinal q = 1\n"
+                              "prod alpha -> q @ 1\nprod alpha -> q @ 3\n"),
+                       ("g2", "nonterminals z\nfinal z = 1\n"
+                               "prod alpha -> z @ 2\n")):
+        path = tmp_path / f"{name}.wtg"
+        path.write_text("semiring zmod 4\nalphabet alpha:0\n" + text)
+        paths.append(str(path))
+    code, out, _ = run(capsys, "product", "--grammar", paths[0],
+                       "--grammar2", paths[1])
+    assert code == 0
+    assert evaluate(parse_grammar(out), leaf("alpha")) == 0
+
+
 def test_union_oracle(capsys):
     code, _, _ = run(capsys, "union", "--grammar", fx("fx2g.wtg"),
                      "--grammar2", fx("fx2gp.wtg"), "--oracle-size", "6")
@@ -174,7 +194,7 @@ def test_transform_relabel(capsys):
 
 
 def test_pump_prints_growing_trees(capsys):
-    from wtgc.trees import Tree, leaf, term_str
+    from wtgc.trees import Tree, term_str
 
     t = leaf("a")
     for _ in range(7):

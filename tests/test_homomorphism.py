@@ -45,6 +45,18 @@ def test_apply_rejects_unknown_symbol(fx3_hom):
         apply(fx3_hom, leaf("zeta"))
 
 
+@pytest.mark.parametrize("index", ["3", "10", "1" * 5000],
+                         ids=["3", "10", "5000 digits"])
+def test_out_of_range_variable_is_a_hom_error(index):
+    # `int` reads at most 4300 digits; a longer index must still be
+    # reported as out of range, not as a bare ValueError
+    source = RankedAlphabet({"alpha": 0, "pi": 2})
+    target = RankedAlphabet({"alpha": 0, "sigma": 2})
+    rhs = {"alpha": ALPHA, "pi": t("sigma", leaf("x1"), leaf("x" + index))}
+    with pytest.raises(HomomorphismError, match="out of range"):
+        TreeHom(source, target, rhs)
+
+
 def test_flags(fx3_hom):
     assert fx3_hom.nondeleting and fx3_hom.nonerasing
     # the flags are cached on first use; they take no part in equality

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -51,7 +52,7 @@ from wtgc.transforms import (
     support_automaton,
     support_grammar,
 )
-from wtgc.trees import RankedAlphabet, enumerate_trees, leaf, term_str
+from wtgc.trees import RankedAlphabet, Tree, enumerate_trees, leaf, term_str
 
 ALPHA = leaf("alpha")
 ZERO_DIVISOR_FREE_FIXTURES = ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5")
@@ -60,6 +61,24 @@ ZERO_DIVISOR_FREE_FIXTURES = ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5")
 def assert_equivalent(g, h, size):
     for tree in enumerate_trees(g.alphabet, size):
         assert evaluate(g, tree) == evaluate(h, tree), term_str(tree)
+
+
+def assert_sums_preimages(g, pi, out, size):
+    """out weighs each tree with the sum of g's weights over the trees
+    that the symbol map pi relabels to it."""
+    sources = {}
+    for name in g.alphabet.names():
+        sources.setdefault(pi[name], []).append(name)
+
+    def preimages(u):
+        options = [list(preimages(c)) for c in u.children]
+        for name in sources.get(u.label, ()):
+            for combo in product(*options):
+                yield Tree(name, combo)
+
+    for u in enumerate_trees(out.alphabet, size):
+        expected = g.semiring.sum(evaluate(g, x) for x in preimages(u))
+        assert evaluate(out, u) == expected, term_str(u)
 
 
 def prods(g):
@@ -543,6 +562,34 @@ def test_restrict_support_example(fx2g, fx2gp):
         assert evaluate(restricted, tree) == expected
 
 
+@pytest.fixture(scope="module")
+def random_restrictions():
+    """(seed, g, restrict_support(g, g)) for the `random_wtgc` seeds
+    0-59 whose semiring restriction accepts."""
+    return [(seed, g, restrict_support(g, g))
+            for seed, g in enumerate(map(random_wtgc, range(60)))
+            if g.semiring.zero_divisor_free]
+
+
+def test_restrict_support_random_oracle(random_restrictions):
+    assert len(random_restrictions) == 39
+    for seed, g, out in random_restrictions:
+        for tree in enumerate_trees(g.alphabet, 5):
+            assert evaluate(out, tree) == evaluate(g, tree), (seed, tree)
+
+
+def test_restrictions_are_small_and_read_back(fx1, fx2g, fx2gp):
+    # (nonterminals, productions); pair names carry no `#` that the
+    # reader would cut as a comment
+    cases = [(restrict_support(fx2g, fx2gp), (2, 9)),
+             (restrict_support(fx2gp, fx2g), (2, 11)),
+             (restrict_support(fx1, fx2gp), (6, 13)),
+             (hadamard(fx2g, fx2gp), (1, 3))]
+    for out, size in cases:
+        assert (len(out.nonterminals), len(out.productions)) == size
+        assert parse_grammar(serialize_grammar(out)) == out
+
+
 # -- relabeling ---------------------------------------------------------------
 
 
@@ -564,24 +611,7 @@ def test_relabel_identity(fx4):
 
 def test_relabel_preimage_sum_oracle(fx4):
     pi = {"a": "a", "g": "g", "f": "g"}
-    out = relabel(fx4, pi)
-    import itertools
-
-    from wtgc.trees import Tree
-
-    sources = {}
-    for name in fx4.alphabet.names():
-        sources.setdefault(pi[name], []).append(name)
-
-    def preimages(u):
-        options = [list(preimages(c)) for c in u.children]
-        for name in sources.get(u.label, ()):
-            for combo in itertools.product(*options):
-                yield Tree(name, combo)
-
-    for u in enumerate_trees(out.alphabet, 9):
-        expected = NATURAL.sum(evaluate(fx4, x) for x in preimages(u))
-        assert evaluate(out, u) == expected
+    assert_sums_preimages(fx4, pi, relabel(fx4, pi), 9)
 
 
 def test_relabel_requires_eq_restriction(fx1):
@@ -592,6 +622,74 @@ def test_relabel_requires_eq_restriction(fx1):
 def test_relabel_rejects_rank_clash(fx4):
     with pytest.raises(TransformError, match="rank mismatch"):
         relabel(fx4, {"a": "x", "g": "x", "f": "x"})
+
+
+# -- equal productions add their weights ------------------------------------
+
+
+ZMOD4_TWINS = ("semiring zmod 4\nalphabet alpha:0\nnonterminals q\n"
+               "final q = {}\nprod alpha -> q @ 1\nprod alpha -> q @ 3\n")
+
+
+def test_equal_pair_productions_cancel():
+    # g weighs alpha 1 + 3 = 0; its product with g2, and its accepting
+    # copies under `final q = 2`, each build one production from both
+    # of g's, with 2 + 2 = 0: keeping one of the two would weigh 2
+    g = parse_grammar(ZMOD4_TWINS.format(1))
+    g2 = parse_grammar("semiring zmod 4\nalphabet alpha:0\nnonterminals z\n"
+                       "final z = 1\nprod alpha -> z @ 2\n")
+    assert evaluate(g, ALPHA) == 0
+    assert evaluate(hadamard(g, g2), ALPHA) == 0
+    assert evaluate(boolean_finals(parse_grammar(ZMOD4_TWINS.format(2))),
+                    ALPHA) == 0
+
+
+def _twinned(g, m, rng):
+    """g over zmod m with fresh weights: each production outside the
+    sink of an eq-restricted g becomes two that differ only in weight,
+    and about a third of those pairs cancel."""
+    er = eq_restriction(g)
+    productions = []
+    for p in g.productions:
+        if er is not None and p.target == er.sink:
+            productions.append(p)
+            continue
+        w = rng.randrange(1, m)
+        if 2 * w != m and rng.random() < 1 / 3:
+            twin = m - w
+        else:
+            twin = rng.choice([x for x in range(1, m) if x != w])
+        productions += [Production(p.lhs, p.target, x, p.eq, p.ineq)
+                        for x in (w, twin)]
+    final = {q: rng.randrange(1, m) for q in g.final_support()}
+    return Wtgc(g.nonterminals, g.alphabet, final, productions,
+                IntegersMod(m))
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_constructions_add_the_weights_of_equal_productions(m):
+    rng = random.Random(m)
+    for seed in range(30):
+        for make, size in ((random_wtgc, 5), (random_eq_restricted, 6)):
+            g = make(seed)
+            partner = next(h for h in map(make, range(seed + 1, seed + 99))
+                           if h.alphabet == g.alphabet)
+            a, b = _twinned(g, m, rng), _twinned(partner, m, rng)
+            s = a.semiring
+            checks = [(normalize(a), lambda x, y: x),
+                      (boolean_finals(a), lambda x, y: x),
+                      (disjoint_union(a, b), s.add),
+                      (hadamard(a, b), s.mul),
+                      (hadamard(a, a), lambda x, y: s.mul(x, x))]
+            for tree in enumerate_trees(g.alphabet, size):
+                x, y = evaluate(a, tree), evaluate(b, tree)
+                for out, expected in checks:
+                    assert evaluate(out, tree) == expected(x, y), \
+                        (seed, term_str(tree))
+        a = _twinned(random_eq_restricted(seed), m, rng)
+        pi = {name: {"beta": "alpha", "delta": "gamma"}.get(name, name)
+              for name in a.alphabet.names()}
+        assert_sums_preimages(a, pi, relabel(a, pi), 6)
 
 
 def test_fresh_names_avoid_adversarial_symbols():
@@ -668,19 +766,18 @@ def _every_construction(g):
             continue
 
 
-def test_kept_spellings_are_the_production_spellings(fx3, fx3_hom):
+def test_kept_spellings_are_the_production_spellings(fx3, fx3_hom,
+                                                    random_restrictions):
     fixtures = [load_grammar(name) for name in ZERO_DIVISOR_FREE_FIXTURES]
     grammars = fixtures + [load_grammar("fx6")]
     grammars += map(random_wtgc, range(60))
     grammars += map(random_eq_restricted, range(60))
-    # restriction is a Hadamard product with a lifted support automaton,
-    # both built for every grammar below; on most of these grammars it
-    # takes seconds each
     fx2g, fx2gp = fixtures[1:3]
     outputs = [image_grammar(fx3, fx3_hom), restrict_support(fx2g, fx2gp),
                restrict_support(fx2gp, fx2g)]
     for g in grammars:
         outputs += _every_construction(g)
+    outputs += [out for _, _, out in random_restrictions]
     assert len(outputs) > 1000
     for out in outputs:
         assert out.spellings == tuple(production_str(p, out.semiring)
