@@ -3,14 +3,19 @@
 In an eq-restricted grammar the subtrees forced equal by constraints are
 all held by the sink, so replacing a derived subtree means replacing its
 copies along the way.  `substitute_derivation` performs exactly that
-recursive replacement; `pump` uses it to grow any sufficiently tall
-accepted tree into arbitrarily many taller ones, after the standard
-preprocessing (`ensure_nonbot_child` plus zero-derivation elimination).
+replacement, without recursion and at absolute positions: one walk down
+the production steps from the root to the substitution position, and
+one walk back up that splices slices of the base's step list, the
+donor's steps and the linked copies' sink derivations into the new one.
+`pump` uses it to grow any sufficiently tall accepted tree into
+arbitrarily many taller ones, after the standard preprocessing
+(`ensure_nonbot_child` plus zero-derivation elimination).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import PumpError
 from .grammar import (
@@ -49,8 +54,9 @@ class SubstitutionSite:
     at: Position
 
 
-def _sink_steps(g: Wtgc, sink: str, t: Tree) -> tuple:
-    """The unique derivation of t to the sink, as a left-most step list."""
+def _sink_steps(g: Wtgc, sink: str, t: Tree, base: Position = ()) -> tuple:
+    """The unique derivation to the sink of t, placed at position `base`,
+    as a left-most step list."""
     by_symbol = {}
     for p in g.productions:
         if p.target == sink:
@@ -58,11 +64,14 @@ def _sink_steps(g: Wtgc, sink: str, t: Tree) -> tuple:
     # a right-to-left pre-order, reversed, is the left-to-right post-order,
     # which is the left-most derivation order
     walk = []
-    stack = [(t, ())]
+    stack = [(t, base)]
     while stack:
         node, w = stack.pop()
         walk.append((node.label, w))
-        stack.extend((c, w + (i,)) for i, c in enumerate(node.children, 1))
+        kids = node.children
+        if kids:
+            stack.extend(zip(kids, [w + (i,)
+                                    for i in range(1, len(kids) + 1)]))
     try:
         return tuple((by_symbol[label], w) for label, w in reversed(walk))
     except KeyError as missing:
@@ -72,64 +81,88 @@ def _sink_steps(g: Wtgc, sink: str, t: Tree) -> tuple:
 def substitute_derivation(site: SubstitutionSite) -> tuple[Tree, Derivation]:
     """Replace the subtree derived at `site.at` (and every position
     equality-linked to it along the derivation) by the donor tree,
-    rederiving the linked copies through the sink."""
+    rederiving the linked copies through the sink.
+
+    The base derivation is read as a complete left-most derivation of
+    the base tree, as `derivations` gives them.  There the steps at and
+    below a variable position of a step form one contiguous block that
+    ends at the step for that position, and the blocks of one step's
+    variables follow each other left to right and end just before the
+    step itself.  So the new step list is spliced from slices of the
+    base's steps, the donor's steps prefixed once, and the sink steps of
+    the linked copies, all at absolute positions.
+    """
     g = site.grammar
     er = eq_restriction(g)
     if er is None:
         raise PumpError("substitution needs an eq-restricted grammar")
     sink = er.sink
-    base, donor = site.base_derivation, site.donor_derivation
+    base, donor, at = site.base_derivation, site.donor_derivation, site.at
+    steps = base.steps
 
-    at_target = incorporated(base, site.at).target
+    subtree(base.input, at)  # raises on a position outside the tree
+    index = {w: i for i, (_, w) in enumerate(steps)}
+    found = index.get(at)
+    at_target = None if found is None else steps[found][0].target
     if at_target is None or at_target != donor.target:
         raise PumpError("no derivation to the donor's nonterminal at the "
                         "substitution position")
     if donor.target == sink or base.target == sink:
         raise PumpError("substitution endpoints must not be the sink")
 
-    def rec(t: Tree, steps: tuple, w: Position):
-        if not w:
-            return site.donor_tree, donor.steps
-        p, root_pos = steps[-1]
-        if root_pos != ():
+    # Down from the root to `at`, one production per level.  A level
+    # keeps its subtree, its position u, the index of its step, the
+    # production p there, the index j of p's variable towards `at`, the
+    # index the level's block starts at, and the index of each
+    # variable's step, which ends that variable's block.
+    levels = []
+    node, u, end, start = site.base_tree, (), len(steps) - 1, 0
+    while u != at:
+        p, w = steps[end]
+        if w != u:
             raise PumpError("derivation does not end at the root")
         dec = g.decompose(p)
-        j = None
-        for i, vpos in enumerate(dec.positions):
-            if w[:len(vpos)] == vpos:
-                j = i
+        rest = at[len(u):]
+        for j, v in enumerate(dec.positions):
+            if rest[:len(v)] == v:
                 break
-        if j is None:
+        else:
             raise PumpError("substitution position is inside a left-hand "
                             "side, not below a nonterminal")
-        blocks = []
-        for vpos in dec.positions:
-            n = len(vpos)
-            blocks.append(tuple((pp, pos[n:]) for pp, pos in steps[:-1]
-                                if pos[:n] == vpos))
-        w_j = dec.positions[j]
-        subtrees = [subtree(t, vpos) for vpos in dec.positions]
-        new_subtree, new_block = rec(subtrees[j], blocks[j], w[len(w_j):])
+        ends = [index.get(u + v) for v in dec.positions]
+        if None in ends:
+            raise PumpError("derivation does not end at the root")
+        levels.append((node, u, end, p, dec, j, start, ends))
+        if j:
+            start = ends[j - 1] + 1
+        node = subtree(node, dec.positions[j])
+        u, end = u + dec.positions[j], ends[j]
 
+    # Back up: the new subtree of each level, and the blocks left and
+    # right of variable j; untouched blocks are slices of the base's
+    # steps, linked copies are derived through the sink in place.
+    new = site.donor_tree
+    lefts, rights = [], []
+    for node, u, end, p, dec, j, start, ends in reversed(levels):
         linked = _linked_positions(g, er, p, j)
-        out_steps = []
-        out_subtrees = []
-        for i, vpos in enumerate(dec.positions):
+        plugged, blocks = {}, []
+        for i, (state, v) in enumerate(zip(dec.states, dec.positions)):
             if i == j:
-                sub, block = new_subtree, new_block
-            elif dec.states[i] == sink and vpos in linked:
-                sub = new_subtree
-                block = _sink_steps(g, sink, sub)
+                plugged[v] = new
+            elif state == sink and v in linked:
+                plugged[v] = new
+                blocks.append(_sink_steps(g, sink, new, u + v))
             else:
-                sub, block = subtrees[i], blocks[i]
-            out_subtrees.append(sub)
-            out_steps.extend((pp, vpos + pos) for pp, pos in block)
-        out_steps.append((p, ()))
-        new_tree = replace(t, dict(zip(dec.positions, out_subtrees)))
-        return new_tree, tuple(out_steps)
-
-    new_tree, new_steps = rec(site.base_tree, base.steps, site.at)
-    return new_tree, Derivation(new_steps, new_tree, base.target)
+                blocks.append(steps[start:ends[i] + 1])
+            start = ends[i] + 1
+        lefts.append(blocks[:j])
+        rights += blocks[j:]
+        rights.append(steps[end:end + 1])
+        new = replace(node, plugged)
+    lefts.reverse()
+    placed = tuple((p, at + w) for p, w in donor.steps)
+    new_steps = tuple(chain(*chain.from_iterable(lefts), placed, *rights))
+    return new, Derivation(new_steps, new, base.target)
 
 
 def _linked_positions(g: Wtgc, er, p: Production, j: int) -> set:

@@ -26,14 +26,19 @@ tree only for grammars where a vector may depend on more than the
 children's vectors and their equalities.
 
 `derivations` enumerates the complete left-most derivations with the
-same compiled matcher and ids.  The options at each (nonterminal, id)
-are computed once and memoized with their counts, productions and
-children's keys and relative positions; a derivation is then spelled
+same compiled matcher and ids.  Counting walks the (nonterminal, id)
+pairs depth first and pushes each pair once: its options are computed
+when it is pushed and memoized with their counts, productions and
+children's keys and relative positions.  A derivation is then spelled
 out with one stack entry per step, at absolute positions, so one
 derivation is quadratic in depth.  Over a zero-sum free, zero-divisor
 free semiring a zero weight already rules a derivation out.  Summing
 derivation weights must agree with the weight map, which the test suite
 uses as the master oracle.
+
+`replay_derivation` checks a derivation without the weight map and
+without building trees: the sentential form is the input tree plus the
+positions rewritten so far, each read as a leaf of its nonterminal.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .trees import (
     enumerate_trees,
     leaf,
     leftmost_key,
-    replace,
     satisfies_all,
     subtree,
     subtree_or_none,
@@ -162,6 +166,11 @@ def _at(keys, ch, me, w):
             return None
         c = kids[i - 1]
     return c
+
+
+def _child_pairs(options) -> list:
+    """The (state, id) pairs of the options' nonterminal leaves."""
+    return [sub for _, children in options for sub, _ in children]
 
 
 class WeightMap:
@@ -428,44 +437,48 @@ class WeightMap:
     def _count(self, q: str, c: int) -> int:
         """The number of complete left-most derivations of id c to q,
         memoizing each (state, id) reached as (count, production,
-        children) alternatives; a pair waiting for its children keeps
-        its options in `pending`, so they are computed once."""
+        children) alternatives.
+
+        The walk is depth first.  A pair's options are computed when it
+        is pushed, and ride on the stack with the list of its child pairs
+        still to look at; one missing child is pushed at a time.  Child
+        pairs have smaller ids, so a pair missing from the memo is never
+        on the stack already: each (state, id) is pushed, and its options
+        computed, once, even where the input shares subtrees.
+        """
         alts = self._alts
         found = alts.get((q, c))
         if found is not None:
             return found[0]
         if self._underivable(q, c):
             return 0
-        pending: dict = {}
-        stack = [(q, c)]
+        underivable, options_of = self._underivable, self._options
+        options = options_of(q, c)
+        stack = [((q, c), options, _child_pairs(options))]
         while stack:
-            key = stack[-1]
-            if key in alts:
+            key, options, subs = stack[-1]
+            while subs:
+                sub = subs.pop()
+                if sub in alts:
+                    continue
+                if underivable(*sub):
+                    alts[sub] = _UNDERIVABLE
+                    continue
+                sub_options = options_of(*sub)
+                stack.append((sub, sub_options, _child_pairs(sub_options)))
+                break
+            else:
                 stack.pop()
-                continue
-            options = pending.pop(key, None)
-            if options is None:
-                if self._underivable(*key):
-                    alts[key] = _UNDERIVABLE
-                    stack.pop()
-                    continue
-                options = self._options(*key)
-                missing = [sub for _, children in options
-                           for sub, _ in children if sub not in alts]
-                if missing:
-                    pending[key] = options
-                    stack.extend(missing)
-                    continue
-            stack.pop()
-            kept, total = [], 0
-            for p, children in options:
-                n = 1
-                for sub, _ in children:
-                    n *= alts[sub][0]
-                if n:
-                    kept.append((n, p, children))
-                    total += n
-            alts[key] = (total, tuple(kept)) if total else _UNDERIVABLE
+                kept, total = [], 0
+                for p, children in options:
+                    n = 1
+                    for sub, _ in children:
+                        n *= alts[sub][0]
+                    if n:
+                        kept.append((n, p, children))
+                        total += n
+                alts[key] = ((total, tuple(kept)) if total
+                             else _UNDERIVABLE)
         return alts[(q, c)][0]
 
     def _underivable(self, q: str, c: int) -> bool:
@@ -541,10 +554,20 @@ def replay_derivation(g: Wtgc, d: Derivation) -> bool:
 
     Checks the sentential-form rewriting, the constraint relativization
     to the original input, the left-most step order, and the final
-    nonterminal.  This is deliberately independent of `derivations`.
+    nonterminal.  This is deliberately independent of `derivations` and
+    of the weight map.
+
+    No tree is built: the sentential form is the input plus `done`,
+    which maps each rewritten position to its nonterminal.  The order
+    check runs before the match, so every earlier step has a smaller
+    left-most key than w, while every proper prefix of w has a larger
+    one.  Hence no prefix of w has been rewritten, the form's node at w
+    is the input's, and below w a position in `done` reads as a leaf of
+    its nonterminal.  A match visits every form node below w, so the
+    positions in `done` stay pairwise incomparable.
     """
     t = d.input
-    form = t
+    done: dict = {}
     previous = None
     for p, w in d.steps:
         try:
@@ -554,18 +577,35 @@ def replay_derivation(g: Wtgc, d: Derivation) -> bool:
         if previous is not None and leftmost_key(w) <= leftmost_key(previous):
             return False
         previous = w
-        at = subtree_or_none(form, w)
-        if at is None or at != p.lhs:
-            return False
         checked = subtree_or_none(t, w)
         if checked is None:
             return False
+        absorbed = []
+        stack = [(p.lhs, checked, w)]
+        while stack:
+            pattern, node, v = stack.pop()
+            q = done.get(v)
+            if q is not None:
+                if pattern.children or pattern.label != q:
+                    return False
+                absorbed.append(v)
+                continue
+            kids = pattern.children
+            if (pattern.label != node.label
+                    or len(kids) != len(node.children)):
+                return False
+            stack.extend(zip(kids, node.children,
+                             [v + (i,) for i in range(1, len(kids) + 1)]))
         if not satisfies_all(checked, p.eq):
             return False
         if not dissatisfies_all(checked, p.ineq):
             return False
-        form = replace(form, {w: leaf(p.target)})
-    return form == leaf(d.target)
+        for v in absorbed:
+            del done[v]
+        done[w] = p.target
+    if done:
+        return done == {(): d.target}
+    return t == leaf(d.target)
 
 
 def state_weight(g: Wtgc, q: str, t: Tree):

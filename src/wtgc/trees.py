@@ -232,10 +232,28 @@ def replace(t: Tree, at: dict) -> Tree:
 
 
 def substitute(t: Tree, theta: dict) -> Tree:
-    """Simultaneous substitution; labels outside theta stay fixed."""
-    if not t.children:
-        return theta.get(t.label, t)
-    return Tree(t.label, [substitute(c, theta) for c in t.children])
+    """Simultaneous substitution; labels outside theta stay fixed.
+
+    The leaves labelled in theta are replaced.  Every other leaf is kept,
+    and every inner node is rebuilt bottom-up without recursion, once
+    per distinct node object.
+    """
+    done: dict = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kids = node.children
+        missing = [c for c in kids if id(c) not in done]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        done[id(node)] = (Tree(node.label, [done[id(c)] for c in kids])
+                          if kids else theta.get(node.label, node))
+    return done[id(t)]
 
 
 def satisfies(t: Tree, constraint) -> bool:

@@ -121,6 +121,36 @@ def random_wtgc(seed: int) -> Wtgc:
     return Wtgc(qs, alphabet, final, prods, semiring)
 
 
+def random_ne_wtgc(seed: int) -> Wtgc:
+    """A small random WTGc over one leaf symbol whose inequality pairs
+    often fail on small trees: they compare sibling subtrees, or a child
+    with its sibling's child, and with `alpha` the only leaf such
+    subtrees are often equal.  A product or restriction that drops an
+    input's inequality constraints changes weights on trees of size 7
+    or less."""
+    from wtgc.semiring import ARCTIC
+
+    rng = random.Random(seed)
+    semiring = rng.choice([NATURAL, ARCTIC])
+    alphabet = RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
+    qs = [f"q{i + 1}" for i in range(rng.randint(1, 2))]
+    pool = [((1,), (2,)), ((1,), (2,)), ((1, 1), (2,)), ((1,), (2, 1)),
+            ((1, 1), (2, 1))]
+    prods = [Production(leaf("alpha"), q, rng.randint(1, 3)) for q in qs]
+    for _ in range(rng.randint(2, 4)):
+        if rng.random() < 0.3:
+            prods.append(Production(t("gamma", leaf(rng.choice(qs))),
+                                    rng.choice(qs), rng.randint(1, 3)))
+            continue
+        ne = rng.sample(pool, rng.randint(1, 2))
+        eq = [((1,), (2,))] if rng.random() < 0.15 else []
+        prods.append(Production(
+            t("sigma", leaf(rng.choice(qs)), leaf(rng.choice(qs))),
+            rng.choice(qs), rng.randint(1, 3), eq, ne))
+    final = {q: rng.randint(1, 2) for q in qs if rng.random() < 0.7}
+    return Wtgc(qs, alphabet, final or {qs[0]: 1}, prods, semiring)
+
+
 def random_eq_restricted(seed: int) -> Wtgc:
     """A small random eq-restricted positive classic grammar over the
     naturals, built in layers so that support emptiness and finiteness

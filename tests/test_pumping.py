@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import t
-from wtgc.errors import PumpError
+from wtgc.errors import InvalidPositionError, PumpError
 from wtgc.grammar import Production, Wtgc, eq_restriction
 from wtgc.pumping import (
     SubstitutionSite,
@@ -14,6 +14,7 @@ from wtgc.pumping import (
     substitute_derivation,
 )
 from wtgc.semantics import (
+    Derivation,
     derivation_weight,
     derivations,
     evaluate,
@@ -93,6 +94,27 @@ def test_substitution_rejects_target_mismatch(fx4, fx4_site):
                            fx4_site.donor_derivation, (2, 2))
     with pytest.raises(PumpError):
         substitute_derivation(bad)
+
+
+def test_substitution_rejects_malformed_bases(fx4, fx4_site):
+    steps = fx4_site.base_derivation.steps
+    root = steps[-1]
+    below_q = next(p for p, _ in steps if p.target == "q" and not p.eq)
+
+    def site(new_steps, at):
+        d = Derivation(new_steps, fx4_site.base_tree, "q")
+        return SubstitutionSite(fx4, fx4_site.base_tree, d,
+                                fx4_site.donor_tree,
+                                fx4_site.donor_derivation, at)
+
+    with pytest.raises(PumpError, match="does not end at the root"):
+        substitute_derivation(site(steps[:-1], (1, 1)))
+    # a step at 2, which the root's lhs f(q,f(q,bot)) covers
+    with pytest.raises(PumpError, match="inside a left-hand side"):
+        substitute_derivation(site(steps[:-1] + ((below_q, (2,)), root),
+                                   (2,)))
+    with pytest.raises(InvalidPositionError, match="position 3 not in"):
+        substitute_derivation(site(steps, (3,)))
 
 
 def offender_grammar():

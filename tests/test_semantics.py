@@ -357,6 +357,37 @@ def test_shared_tree_costs_its_distinct_objects():
     assert len(weight_map(g).keys) <= 201
 
 
+def test_options_run_once_per_pair_on_shared_trees(monkeypatch, fx2g,
+                                                    fx2gp):
+    # sigma(x, x) at every level: each subtree object is both children
+    from collections import Counter
+
+    from wtgc.semantics import WeightMap
+    from wtgc.transforms import hadamard
+
+    g = hadamard(fx2g, fx2gp)
+    (q,) = g.final_support()
+    shared = gammas(2, ALPHA)
+    for _ in range(4):
+        shared = t("sigma", shared, shared)
+    expected = _brute_derivations(g, _unshared(shared), q)
+    calls = Counter()
+    options = WeightMap._options
+
+    def counted(self, state, c):
+        calls[(state, c)] += 1
+        return options(self, state, c)
+
+    monkeypatch.setattr(WeightMap, "_options", counted)
+    got = [d.steps for d in derivations(g, shared, q)]
+    assert got == expected and len(got) == 1
+    m = weight_map(g)
+    reached = {key for key in m._alts if not m._underivable(*key)}
+    assert set(calls) == reached
+    assert len(reached) == 4 + 3  # four sigma levels over gamma^2(alpha)
+    assert max(calls.values()) == 1
+
+
 def test_one_grammar_shared_between_threads():
     # the weight map fills in lazily; concurrent callers must neither
     # lose nor misplace an entry

@@ -8,6 +8,7 @@ from conftest import (
     gammas,
     load_grammar,
     random_eq_restricted,
+    random_ne_wtgc,
     random_wtgc,
     t,
 )
@@ -576,6 +577,36 @@ def test_restrict_support_random_oracle(random_restrictions):
     for seed, g, out in random_restrictions:
         for tree in enumerate_trees(g.alphabet, 5):
             assert evaluate(out, tree) == evaluate(g, tree), (seed, tree)
+
+
+def test_products_keep_both_inputs_inequalities():
+    # the inequality pairs of these inputs fail on small trees, so a
+    # product or a restriction that dropped either input's pairs would
+    # give a wrong weight below size 8
+    inequalities_matter = 0
+    for seed in range(30):
+        a = random_ne_wtgc(seed)
+        b = next(h for h in map(random_ne_wtgc, range(seed + 1, seed + 99))
+                 if h.semiring == a.semiring)
+        s = a.semiring
+        unguarded = Wtgc(b.nonterminals, b.alphabet, b.final,
+                         [Production(p.lhs, p.target, p.weight, p.eq)
+                          for p in b.productions], s)
+        checks = [(hadamard(a, b), s.mul),
+                  (hadamard(b, a), lambda x, y: s.mul(y, x)),
+                  (restrict_support(a, b),
+                   lambda x, y: x if y != s.zero else s.zero),
+                  (restrict_support(b, a),
+                   lambda x, y: y if x != s.zero else s.zero)]
+        differs = False
+        for tree in enumerate_trees(a.alphabet, 7):
+            x, y = evaluate(a, tree), evaluate(b, tree)
+            differs |= evaluate(unguarded, tree) != y
+            for out, expected in checks:
+                assert evaluate(out, tree) == expected(x, y), \
+                    (seed, term_str(tree))
+        inequalities_matter += differs
+    assert inequalities_matter >= 20
 
 
 def test_restrictions_are_small_and_read_back(fx1, fx2g, fx2gp):

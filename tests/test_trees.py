@@ -100,6 +100,19 @@ def test_substitute():
         == t("sigma", ALPHA, x2)
 
 
+def test_substitute_without_recursion():
+    assert sys.getrecursionlimit() < 5000
+    deep = substitute(gammas(100000, leaf("x1")), {"x1": ALPHA})
+    assert deep == gammas(100000, ALPHA)
+    # 2^61 - 1 positions, 61 distinct objects, each rebuilt once
+    shared = leaf("x1")
+    for _ in range(60):
+        shared = t("sigma", shared, shared)
+    out = substitute(shared, {"x1": t("gamma", ALPHA)})
+    assert out.size == 2 ** 60 * 3 - 1
+    assert out.children[0] is out.children[1]
+
+
 def test_deep_trees_compare_without_recursion():
     # two distinct objects, far deeper than the default recursion limit
     assert sys.getrecursionlimit() < 5000
