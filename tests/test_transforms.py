@@ -540,6 +540,44 @@ def test_complement_support(fx1):
         assert evaluate(twice, tree) == evaluate(aut, tree)
 
 
+# sigma's pairs relate 1.1, a position below a child, to 2 and to
+# itself: a split that fails 1.1=1.1 says that the first child is a
+# leaf, and such trees are in the support
+ABSENT_POSITION = """semiring nat
+alphabet alpha:0 gamma:1 sigma:2
+nonterminals q r
+final q = 1
+prod alpha -> r @ 1
+prod gamma(r) -> r @ 1
+prod sigma(r,r) -> r @ 1
+prod sigma(r,r) -> q [eq 1.1=2] @ 1
+prod sigma(r,r) -> q [ne 1.1=1.1] @ 2
+"""
+
+
+def test_support_constructions_match_the_oracle():
+    """The support automaton, its complement and the constraint
+    determination against the input's own weights on every tree of size
+    6 or less."""
+    grammars = [g for g in map(random_wtgc, range(60))
+                if g.semiring.zero_divisor_free]
+    grammars += map(random_eq_restricted, range(60))
+    grammars.append(parse_grammar(ABSENT_POSITION))
+    checked = 0
+    for g in grammars:
+        zero = g.semiring.zero
+        built = [(support_automaton(g), lambda w: int(w != zero)),
+                 (complement_support(g), lambda w: int(w == zero)),
+                 (constraint_determine(normalize(g)), lambda w: w)]
+        for tree in enumerate_trees(g.alphabet, 6):
+            w = evaluate(g, tree)
+            for out, expected in built:
+                assert evaluate(out, tree) == expected(w), \
+                    (serialize_grammar(g), term_str(tree))
+            checked += 1
+    assert checked == 11_313 + 38
+
+
 def test_support_automata_read_back():
     grammars = [load_grammar(name) for name in ZERO_DIVISOR_FREE_FIXTURES]
     grammars += [g for g in map(random_wtgc, range(30))
