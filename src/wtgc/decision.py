@@ -20,7 +20,6 @@ trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice, permutations, product
 from operator import attrgetter, itemgetter
@@ -29,14 +28,12 @@ from .errors import DecisionError
 from .grammar import Wtgc, classify, eq_restriction
 from .pumping import ensure_nonbot_child
 from .semantics import weight_map
-from .transforms import eliminate_zero_derivations, saturate
+from .transforms import (  # noqa: F401  (ProductivityTable re-exported)
+    ProductivityTable,
+    eliminate_zero_derivations,
+    productivity,
+)
 from .trees import Tree, compositions, enumerate_trees
-
-
-@dataclass(frozen=True)
-class ProductivityTable:
-    productive: frozenset
-    reachable: frozenset
 
 
 def _require_decidable(g: Wtgc):
@@ -51,27 +48,6 @@ def _require_decidable(g: Wtgc):
             "support decisions are implemented for eq-restricted positive "
             "classic grammars only; this grammar is outside that class")
     return er
-
-
-def productivity(g: Wtgc) -> ProductivityTable:
-    """Least fixpoint of `all decomposed children productive`, and the
-    nonterminals reachable from the final support through productions
-    with productive children."""
-    decs = {p: g.decompose(p) for p in g.productions}
-    productive = saturate({p: dec.states for p, dec in decs.items()},
-                          lambda p, _: ((p.target, True),))
-    below: dict[str, set] = {}
-    for p, dec in decs.items():
-        if all(state in productive for state in dec.states):
-            below.setdefault(p.target, set()).update(dec.states)
-    reachable = set(g.final_support())
-    todo = list(reachable)
-    while todo:
-        for state in below.get(todo.pop(), ()):
-            if state not in reachable:
-                reachable.add(state)
-                todo.append(state)
-    return ProductivityTable(frozenset(productive), frozenset(reachable))
 
 
 def is_support_empty(g: Wtgc) -> bool:

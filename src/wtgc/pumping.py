@@ -54,13 +54,18 @@ class SubstitutionSite:
     at: Position
 
 
-def _sink_steps(g: Wtgc, sink: str, t: Tree, base: Position = ()) -> tuple:
+def _sink_table(g: Wtgc, sink: str) -> dict:
+    """The sink's production for each symbol."""
+    return {p.lhs.label: p for p in g.productions if p.target == sink}
+
+
+def _sink_steps(g: Wtgc, sink: str, t: Tree, base: Position = (),
+                by_symbol: dict | None = None) -> tuple:
     """The unique derivation to the sink of t, placed at position `base`,
-    as a left-most step list."""
-    by_symbol = {}
-    for p in g.productions:
-        if p.target == sink:
-            by_symbol[p.lhs.label] = p
+    as a left-most step list; `by_symbol` is `_sink_table(g, sink)`, built
+    here when not given."""
+    if by_symbol is None:
+        by_symbol = _sink_table(g, sink)
     # a right-to-left pre-order, reversed, is the left-to-right post-order,
     # which is the left-most derivation order
     walk = []
@@ -78,7 +83,8 @@ def _sink_steps(g: Wtgc, sink: str, t: Tree, base: Position = ()) -> tuple:
         raise PumpError(f"no sink production for symbol {missing}") from None
 
 
-def substitute_derivation(site: SubstitutionSite) -> tuple[Tree, Derivation]:
+def substitute_derivation(site: SubstitutionSite, *,
+                          replayed: bool = False) -> tuple[Tree, Derivation]:
     """Replace the subtree derived at `site.at` (and every position
     equality-linked to it along the derivation) by the donor tree,
     rederiving the linked copies through the sink.
@@ -90,7 +96,9 @@ def substitute_derivation(site: SubstitutionSite) -> tuple[Tree, Derivation]:
     variables follow each other left to right and end just before the
     step itself.  So the new step list is spliced from slices of the
     base's steps, the donor's steps prefixed once, and the sink steps of
-    the linked copies, all at absolute positions.
+    the linked copies, all at absolute positions.  A base that does not
+    replay on the base tree raises `PumpError`; `replayed=True` says
+    that the caller has checked that it does, and skips the replay.
     """
     g = site.grammar
     er = eq_restriction(g)
@@ -137,11 +145,18 @@ def substitute_derivation(site: SubstitutionSite) -> tuple[Tree, Derivation]:
             start = ends[j - 1] + 1
         node = subtree(node, dec.positions[j])
         u, end = u + dec.positions[j], ends[j]
+    # the walk above reports the malformed bases it meets; any other
+    # base must replay, or the splice would build a non-derivation
+    if not replayed and (base.input != site.base_tree
+                         or not replay_derivation(g, base)):
+        raise PumpError("the base derivation does not replay on the base "
+                        "tree")
 
     # Back up: the new subtree of each level, and the blocks left and
     # right of variable j; untouched blocks are slices of the base's
     # steps, linked copies are derived through the sink in place.
     new = site.donor_tree
+    by_symbol = _sink_table(g, sink)
     lefts, rights = [], []
     for node, u, end, p, dec, j, start, ends in reversed(levels):
         linked = _linked_positions(g, er, p, j)
@@ -151,7 +166,7 @@ def substitute_derivation(site: SubstitutionSite) -> tuple[Tree, Derivation]:
                 plugged[v] = new
             elif state == sink and v in linked:
                 plugged[v] = new
-                blocks.append(_sink_steps(g, sink, new, u + v))
+                blocks.append(_sink_steps(g, sink, new, u + v, by_symbol))
             else:
                 blocks.append(steps[start:ends[i] + 1])
             start = ends[i] + 1
@@ -255,7 +270,9 @@ def _pump_once(g: Wtgc, sink: str, t: Tree, d: Derivation):
     donor_t = subtree(t, shallow)
     donor_d = incorporated(d, shallow)
     site = SubstitutionSite(g, t, d, donor_t, donor_d, deep_pos)
-    new_t, new_d = substitute_derivation(site)
+    # pump replayed the first base, and a substitution into a base that
+    # replays gives one that replays
+    new_t, new_d = substitute_derivation(site, replayed=True)
     if new_t.height <= t.height:
         raise PumpError("internal: substitution did not grow the tree")
     return new_t, new_d

@@ -9,15 +9,18 @@ Each construction is paired with a bounded evaluation oracle in the
 test suite.
 
 Zero-derivation elimination, constraint determination, the Hadamard
-product and disambiguation (and the productivity table of `decision`)
-compute one least fixpoint: a nonterminal exists once every child slot
-of some production is filled.  `saturate` evaluates it semi-naively for
-all of them, so each builds only the nonterminals reached bottom-up,
-and `STATE_CAP` bounds them all.
+product, disambiguation and the productivity table compute one least
+fixpoint: a nonterminal exists once every child slot of some production
+is filled.  `saturate` evaluates it semi-naively for all of them, so
+each builds only the nonterminals reached bottom-up, and `STATE_CAP`
+bounds them all.  Constraint determination, the product and
+disambiguation also skip the productions whose constraints no tree
+satisfies (`_equal_children`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
 
@@ -104,6 +107,82 @@ def saturate(rules: dict, fire) -> dict:
             for combo in product(*ranges):
                 keep(fire(rule, combo))
     return {key: list(pool) for key, pool in pools.items()}
+
+
+@dataclass(frozen=True)
+class ProductivityTable:
+    productive: frozenset
+    reachable: frozenset
+
+
+def productivity(g: Wtgc) -> ProductivityTable:
+    """Least fixpoint of `all decomposed children productive`, and the
+    nonterminals reachable from the final support through productions
+    with productive children."""
+    decs = {p: g.decompose(p) for p in g.productions}
+    productive = saturate({p: dec.states for p, dec in decs.items()},
+                          lambda p, _: ((p.target, True),))
+    below: dict[str, set] = {}
+    for p, dec in decs.items():
+        if all(state in productive for state in dec.states):
+            below.setdefault(p.target, set()).update(dec.states)
+    reachable = set(g.final_support())
+    todo = list(reachable)
+    while todo:
+        for state in below.get(todo.pop(), ()):
+            if state not in reachable:
+                reachable.add(state)
+                todo.append(state)
+    return ProductivityTable(frozenset(productive), frozenset(reachable))
+
+
+def _equal_children(rank: int, eq, ineq) -> tuple | None:
+    """The pairs (i, j) of 0-based child indices whose subtrees `eq`
+    forces to be equal, each i the first child of its class; or None
+    when no node of a symbol of this rank satisfies every pair of `eq`
+    and fails every pair of `ineq`.
+
+    A failing pair p=p says that p is absent, not that p differs.  No
+    node fits when
+    - a pair of `eq` relates a position to one of its proper prefixes
+      (a finite tree differs from its proper subtrees);
+    - a pair of `eq` uses a position whose first step exceeds the rank;
+    - both positions of a pair of `ineq` lie in one class of `eq`,
+      closed by transitivity;
+    - a pair of `eq` uses p, or a position below p, while `ineq` holds
+      p=p;
+    - `ineq` holds p=p for the root or a child, which are always there.
+    """
+    absent = []
+    for v, w in ineq:
+        if v == w:
+            if len(v) < 2 and (not v or v[0] <= rank):
+                return None
+            absent.append(v)
+    root: dict = {}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for v, w in eq:
+        if v != w and (w[:len(v)] == v or v[:len(w)] == w):
+            return None
+        for u in (v, w):
+            if u and u[0] > rank or any(u[:len(a)] == a for a in absent):
+                return None
+            root.setdefault(u, u)
+        root[find(v)] = find(w)
+    if any(v in root and w in root and find(v) == find(w) for v, w in ineq):
+        return None
+    first: dict = {}
+    links = []
+    for u in sorted(u for u in root if len(u) == 1):
+        i = first.setdefault(find(u), u[0] - 1)
+        if i != u[0] - 1:
+            links.append((i, u[0] - 1))
+    return tuple(links)
 
 
 def weighted_productions(s: Semiring, items) -> set:
@@ -267,20 +346,31 @@ def constraint_determine(g: Wtgc) -> Wtgc:
     """Equivalent WTAc in which no two productions differ only in their
     constraint sets: each production p gets its own target `q#p`, and a
     child slot for q ranges over the productions with target q.  Only
-    the productions reached bottom-up get a nonterminal."""
+    the productions reached bottom-up get a nonterminal.
+
+    A tree derived to `q#rho` has the root label of rho's lhs, so a
+    combination that gives two children tied by p's equalities
+    productions of different root labels fires on no tree and is not
+    built; neither is a production whose constraints no tree satisfies.
+    """
     if not classify(g).normalized:
         raise TransformError("constraint determination needs a WTAc")
     names = Names(g.alphabet.names(),
                   lambda p: f"{p.target}#{g.prod_id(p)}")
+    links = {p: _equal_children(len(p.lhs.children), p.eq, p.ineq)
+             for p in g.productions}
     productions = set()
 
     def fire(p, combo):
+        if any(combo[i].lhs.label != combo[j].lhs.label
+               for i, j in links[p]):
+            return ()
         lhs = Tree(p.lhs.label, [leaf(names[rho]) for rho in combo])
         productions.add(Production(lhs, names[p], p.weight, p.eq, p.ineq))
         return ((p.target, p),)
 
-    reached = saturate({p: g.decompose(p).states for p in g.productions},
-                       fire)
+    reached = saturate({p: g.decompose(p).states for p in g.productions
+                        if links[p] is not None}, fire)
     final = {names[p]: g.final[q] for q, ps in reached.items() for p in ps}
     return Wtgc(set(final), g.alphabet, final, productions, g.semiring)
 
@@ -303,8 +393,9 @@ def disjoint_union(g: Wtgc, g2: Wtgc) -> Wtgc:
 def hadamard(g: Wtgc, g2: Wtgc) -> Wtgc:
     """Pointwise semiring product, via the pair construction on WTAc
     (inputs are normalized on demand); equal pair productions add their
-    weights, and only the pairs reached bottom-up through nonzero
-    productions become nonterminals."""
+    weights, a pair production whose joint constraints no tree
+    satisfies is not built, and only the pairs reached bottom-up through
+    nonzero productions become nonterminals."""
     _check_compatible(g, g2)
     s = g.semiring
     a, b = normalize(g), normalize(g2)
@@ -317,10 +408,13 @@ def hadamard(g: Wtgc, g2: Wtgc) -> Wtgc:
     for p in a.productions:
         states = a.decompose(p).states
         for p2, states2 in by_symbol.get(p.lhs.label, ()):
+            eq, ineq = p.eq | p2.eq, p.ineq | p2.ineq
+            if _equal_children(len(states), eq, ineq) is None:
+                continue
             lhs = Tree(p.lhs.label,
                        [leaf(names[xy]) for xy in zip(states, states2)])
-            items.append(((lhs, names[p.target, p2.target], p.eq | p2.eq,
-                           p.ineq | p2.ineq), s.mul(p.weight, p2.weight)))
+            items.append(((lhs, names[p.target, p2.target], eq, ineq),
+                          s.mul(p.weight, p2.weight)))
     rules = {p: tuple(c.label for c in p.lhs.children)
              for p in weighted_productions(s, items)}
     reached = saturate(rules, lambda p, _: ((p.target, True),))
@@ -355,8 +449,13 @@ def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
     States are the reachable vectors of per-nonterminal image weights,
     aligned with the sorted nonterminals; for every symbol the
     constraints appearing on that symbol are split into every
-    (satisfied, dissatisfied) bipartition, which makes the result
-    unambiguous.  All production weights are the target's one.
+    satisfiable (satisfied, dissatisfied) bipartition, which makes the
+    result unambiguous.  Every tree reaches exactly one state, so equal
+    children are in equal states, and a split's equality between two
+    children gets no production over children in different states.
+    Only productions that fire on some tree are left out, so every tree
+    still has exactly one run.  All production weights are the
+    target's one.
     """
     if not classify(g).normalized:
         raise TransformError("disambiguation needs a WTAc")
@@ -375,8 +474,9 @@ def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
         collected[p.lhs.label].update(p.eq)
         collected[p.lhs.label].update(p.ineq)
 
-    # per (symbol, split): for each nonterminal, the image weight and the
-    # child state indices of every production that fires under the split
+    # per satisfiable (symbol, split): the children it forces equal, and
+    # for each nonterminal, the image weight and the child state indices
+    # of every production that fires under the split
     terms = {}
     for name, rank in g.alphabet.symbols():
         pairs = sorted(collected[name])
@@ -384,7 +484,10 @@ def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
             eq = frozenset(pairs[i] for i in range(len(pairs))
                            if chosen >> i & 1)
             ineq = frozenset(pairs) - eq
-            terms[(name, eq, ineq)] = [
+            links = _equal_children(rank, eq, ineq)
+            if links is None:
+                continue
+            terms[(name, eq, ineq)] = links, [
                 [(hom(p.weight),
                   tuple(index[state] for state in g.decompose(p).states))
                  for p in by_symbol[name]
@@ -395,8 +498,11 @@ def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
     productions = set()
 
     def fire(rule, combo):
+        links, weighted = terms[rule]
+        if any(combo[i] != combo[j] for i, j in links):
+            return ()
         values = []
-        for alternatives in terms[rule]:
+        for alternatives in weighted:
             total = target.zero
             for term, slots in alternatives:
                 for child, i in zip(combo, slots):
@@ -421,17 +527,28 @@ def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
     return Wtgc(set(final), g.alphabet, final, productions, target)
 
 
-def support_automaton(g: Wtgc) -> Wtgc:
-    """An unambiguous Boolean WTAc recognizing the support of g; needs a
-    zero-sum free and zero-divisor free semiring."""
+def _complete_support_automaton(g: Wtgc) -> Wtgc:
     hom = support_hom(g.semiring)  # rejects descriptors lacking a flag
     return disambiguate(eliminate_zero_derivations(normalize(g)), hom)
 
 
+def support_automaton(g: Wtgc) -> Wtgc:
+    """An unambiguous Boolean WTAc recognizing the support of g; needs a
+    zero-sum free and zero-divisor free semiring.  It is trimmed: only
+    the states that some tree of the support passes through are kept."""
+    aut = _complete_support_automaton(g)
+    keep = productivity(aut).reachable
+    return Wtgc(keep, aut.alphabet, {q: aut.final[q] for q in keep},
+                [p for p in aut.productions if p.target in keep
+                 and all(c.label in keep for c in p.lhs.children)],
+                BOOLEAN)
+
+
 def complement_support(g: Wtgc) -> Wtgc:
-    """Flip the final set of the (complete) unambiguous support
-    automaton; recognizes the complement of the support."""
-    aut = support_automaton(g)
+    """Flip the final set of the complete, untrimmed unambiguous support
+    automaton, in which every tree has exactly one run; recognizes the
+    complement of the support."""
+    aut = _complete_support_automaton(g)
     final = {q: 1 if aut.final[q] == 0 else 0 for q in aut.nonterminals}
     return Wtgc(aut.nonterminals, aut.alphabet, final, aut.productions,
                 BOOLEAN)

@@ -117,6 +117,22 @@ def test_substitution_rejects_malformed_bases(fx4, fx4_site):
         substitute_derivation(site(steps, (3,)))
 
 
+def test_substitution_rejects_a_base_that_does_not_replay(fx4):
+    # g(q,bot) needs its second child derived to bot; this base derives
+    # it to q, so it does not replay, though each step sits where the
+    # root's variables are
+    base = parse_term("g(a,a)", fx4.alphabet)
+    prods = {fx4.spellings[i]: p for i, p in enumerate(fx4.productions)}
+    to_q, root = prods["a -> q @ 1"], prods["g(q,bot) -> q [eq 1=2] @ 1"]
+    d = Derivation(((to_q, (1,)), (to_q, (2,)), (root, ())), base, "q")
+    assert not replay_derivation(fx4, d)
+    donor = parse_term("g(a,a)", fx4.alphabet)
+    (dp,) = derivations(fx4, donor, "q")
+    site = SubstitutionSite(fx4, base, d, donor, dp, (2,))
+    with pytest.raises(PumpError, match="does not replay"):
+        substitute_derivation(site)
+
+
 def offender_grammar():
     # the all-sink production is unconstrained: a sink-to-sink equality
     # pair would have no governing index and fall outside the class

@@ -13,7 +13,6 @@ from conftest import (
     t,
 )
 from wtgc import transforms
-from wtgc.decision import productivity
 from wtgc.errors import SemiringError, TransformError
 from wtgc.grammar import (
     Production,
@@ -47,6 +46,7 @@ from wtgc.transforms import (
     eliminate_zero_derivations,
     hadamard,
     normalize,
+    productivity,
     relabel,
     restrict_support,
     saturate,
@@ -315,6 +315,14 @@ def test_constraint_determine_builds_only_reached_productions(fx1):
     assert (len(out.nonterminals), len(out.productions)) == (4, 7)
 
 
+def test_constraint_determine_skips_unequal_labels(fx2g):
+    # fx2g's `sigma(q,q) -> q [eq 1=2]` gets no production over children
+    # derived by productions of different root labels: 7 productions of
+    # the 13 that every combination would give
+    out = constraint_determine(fx2g)
+    assert (len(out.nonterminals), len(out.productions)) == (3, 7)
+
+
 def test_determine_and_product_random():
     for seed in range(30):
         g = normalize(random_wtgc(seed))
@@ -554,6 +562,20 @@ prod sigma(r,r) -> q [eq 1.1=2] @ 1
 prod sigma(r,r) -> q [ne 1.1=1.1] @ 2
 """
 
+# tau's three pairs split eight ways, but in three of the splits two
+# holding equalities force the failing third to hold
+TRIPLES = """semiring nat
+alphabet alpha:0 beta:0 gamma:1 tau:3
+nonterminals q r
+final q = 1
+prod alpha -> r @ 1
+prod beta -> r @ 1
+prod gamma(r) -> r @ 1
+prod tau(r,r,r) -> r @ 1
+prod tau(r,r,r) -> q [eq 1=2] [ne 2=3] @ 1
+prod tau(r,r,r) -> q [eq 1=3] @ 2
+"""
+
 
 def test_support_constructions_match_the_oracle():
     """The support automaton, its complement and the constraint
@@ -562,7 +584,7 @@ def test_support_constructions_match_the_oracle():
     grammars = [g for g in map(random_wtgc, range(60))
                 if g.semiring.zero_divisor_free]
     grammars += map(random_eq_restricted, range(60))
-    grammars.append(parse_grammar(ABSENT_POSITION))
+    grammars += map(parse_grammar, (ABSENT_POSITION, TRIPLES))
     checked = 0
     for g in grammars:
         zero = g.semiring.zero
@@ -575,7 +597,39 @@ def test_support_constructions_match_the_oracle():
                 assert evaluate(out, tree) == expected(w), \
                     (serialize_grammar(g), term_str(tree))
             checked += 1
-    assert checked == 11_313 + 38
+    assert checked == 11_313 + 38 + 132
+
+
+COUNTER = """semiring nat
+alphabet alpha:0 gamma:1 sigma:2
+nonterminals c0 c1 c2
+final c2 = 1
+prod alpha -> c0 @ 2
+prod gamma(c2) -> c2 @ 2
+prod gamma(c0) -> c1 @ 1
+prod gamma(c1) -> c2 @ 2
+prod gamma(c2) -> c0 @ 3
+prod sigma(c0,c1) -> c2 [eq 1=2] @ 2
+prod sigma(c0,c1) -> c2 [ne 1=2] @ 2
+prod sigma(c1,c2) -> c1 @ 2
+prod sigma(c2,c0) -> c0 @ 2
+prod sigma(c0,c0) -> c1 @ 2
+prod sigma(gamma(c0),c2) -> c2 @ 3
+"""
+
+
+def test_support_automata_are_small():
+    # (nonterminals, productions) of the support automaton and of its
+    # complement; with every split of every symbol and every state kept
+    # both would be (11, 254), (2, 19) and (2, 68)
+    cases = [(COUNTER, (10, 99), (11, 144)),
+             (ABSENT_POSITION, (2, 15), (2, 15)),
+             (TRIPLES, (2, 26), (2, 26))]
+    for text, support, complement in cases:
+        g = parse_grammar(text)
+        for out, size in ((support_automaton(g), support),
+                          (complement_support(g), complement)):
+            assert (len(out.nonterminals), len(out.productions)) == size
 
 
 def test_support_automata_read_back():
@@ -650,9 +704,9 @@ def test_products_keep_both_inputs_inequalities():
 def test_restrictions_are_small_and_read_back(fx1, fx2g, fx2gp):
     # (nonterminals, productions); pair names carry no `#` that the
     # reader would cut as a comment
-    cases = [(restrict_support(fx2g, fx2gp), (2, 9)),
-             (restrict_support(fx2gp, fx2g), (2, 11)),
-             (restrict_support(fx1, fx2gp), (6, 13)),
+    cases = [(restrict_support(fx2g, fx2gp), (1, 3)),
+             (restrict_support(fx2gp, fx2g), (1, 3)),
+             (restrict_support(fx1, fx2gp), (3, 4)),
              (hadamard(fx2g, fx2gp), (1, 3))]
     for out, size in cases:
         assert (len(out.nonterminals), len(out.productions)) == size
