@@ -59,13 +59,9 @@ def _sink_table(g: Wtgc, sink: str) -> dict:
     return {p.lhs.label: p for p in g.productions if p.target == sink}
 
 
-def _sink_steps(g: Wtgc, sink: str, t: Tree, base: Position = (),
-                by_symbol: dict | None = None) -> tuple:
+def _sink_steps(by_symbol: dict, t: Tree, base: Position = ()) -> tuple:
     """The unique derivation to the sink of t, placed at position `base`,
-    as a left-most step list; `by_symbol` is `_sink_table(g, sink)`, built
-    here when not given."""
-    if by_symbol is None:
-        by_symbol = _sink_table(g, sink)
+    as a left-most step list; `by_symbol` is the grammar's `_sink_table`."""
     # a right-to-left pre-order, reversed, is the left-to-right post-order,
     # which is the left-most derivation order
     walk = []
@@ -166,7 +162,7 @@ def substitute_derivation(site: SubstitutionSite, *,
                 plugged[v] = new
             elif state == sink and v in linked:
                 plugged[v] = new
-                blocks.append(_sink_steps(g, sink, new, u + v, by_symbol))
+                blocks.append(_sink_steps(by_symbol, new, u + v))
             else:
                 blocks.append(steps[start:ends[i] + 1])
             start = ends[i] + 1

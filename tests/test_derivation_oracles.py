@@ -18,6 +18,7 @@ from wtgc.pumping import (
     SubstitutionSite,
     _linked_positions,
     _sink_steps,
+    _sink_table,
     ensure_nonbot_child,
     substitute_derivation,
 )
@@ -120,7 +121,7 @@ def substitute_by_recursion(site):
                 sub, block = new_subtree, new_block
             elif dec.states[i] == sink and vpos in linked:
                 sub = new_subtree
-                block = _sink_steps(g, sink, sub)
+                block = _sink_steps(_sink_table(g, sink), sub)
             else:
                 sub, block = subtrees[i], blocks[i]
             out_subtrees.append(sub)

@@ -6,6 +6,7 @@ from wtgc.grammar import Production, Wtgc, eq_restriction
 from wtgc.pumping import (
     SubstitutionSite,
     _sink_steps,
+    _sink_table,
     base_derivation,
     ensure_nonbot_child,
     grammar_height,
@@ -235,7 +236,7 @@ def test_sink_steps_are_the_leftmost_order(fx4_prepared):
     (d,) = derivations(g, base, q)
     for tree in [base] + [tree for tree, _ in pump(g, base, d, 3)]:
         ordered = sorted((w for w, _ in walk(tree)), key=leftmost_key)
-        assert _sink_steps(g, sink, tree) == tuple(
+        assert _sink_steps(_sink_table(g, sink), tree) == tuple(
             (by_symbol[subtree(tree, w).label], w) for w in ordered)
 
 

@@ -600,6 +600,8 @@ def test_support_constructions_match_the_oracle():
     assert checked == 11_313 + 38 + 132
 
 
+# the 3-state nat counter of the constructions benchmark
+# (perfbench/gen.py `counter`, one split and one nested production)
 COUNTER = """semiring nat
 alphabet alpha:0 gamma:1 sigma:2
 nonterminals c0 c1 c2
