@@ -151,6 +151,24 @@ def random_ne_wtgc(seed: int) -> Wtgc:
     return Wtgc(qs, alphabet, final or {qs[0]: 1}, prods, semiring)
 
 
+def with_clashing_twin(g: Wtgc, seed: int) -> Wtgc:
+    """g plus a twin of one of its productions of rank 2 or more: the
+    same lhs, target and weight, with the equality between two of its
+    children toggled.  The two then clash: they share lhs and target but
+    differ in their constraint sets.  A grammar without such a
+    production comes back as it is."""
+    rng = random.Random(seed)
+    wide = [p for p in g.productions if len(p.lhs.children) >= 2]
+    if not wide:
+        return g
+    p = rng.choice(wide)
+    i, j = sorted(rng.sample(range(1, len(p.lhs.children) + 1), 2))
+    twin = Production(p.lhs, p.target, p.weight,
+                      p.eq ^ {((i,), (j,))}, p.ineq)
+    return Wtgc(g.nonterminals, g.alphabet, g.final,
+                [*g.productions, twin], g.semiring)
+
+
 def random_eq_restricted(seed: int) -> Wtgc:
     """A small random eq-restricted positive classic grammar over the
     naturals, built in layers so that support emptiness and finiteness

@@ -11,6 +11,7 @@ from conftest import (
     random_ne_wtgc,
     random_wtgc,
     t,
+    with_clashing_twin,
 )
 from wtgc import transforms
 from wtgc.errors import SemiringError, TransformError
@@ -339,6 +340,47 @@ def test_determine_and_product_random():
 def test_constraint_determine_rejects_unnormalized(fx1):
     with pytest.raises(TransformError):
         constraint_determine(fx1)
+
+
+# p2 and p3 clash; the nonterminal `q#p2` is spelled like p2's fresh
+# target, and only tau derives to it
+SPELLED_LIKE_A_SPLIT = Wtgc(
+    {"q", "q#p2"}, RankedAlphabet({"alpha": 0, "sigma": 2, "tau": 0}),
+    {"q": 1, "q#p2": 2},
+    [Production(ALPHA, "q", 1),
+     Production(t("sigma", leaf("q"), leaf("q")), "q", 1),
+     Production(t("sigma", leaf("q"), leaf("q")), "q", 3, [((1,), (2,))]),
+     Production(leaf("tau"), "q#p2", 2)],
+    NATURAL)
+
+
+def test_determination_and_boolean_finals_match_the_oracle():
+    """Constraint determination and Boolean finals against the input's
+    own weights on every tree of size 5 or less, on random normalized
+    grammars with and without a clashing twin."""
+    grammars = [SPELLED_LIKE_A_SPLIT]
+    for seed in range(40):
+        for g in (normalize(random_wtgc(seed)),
+                  normalize(random_ne_wtgc(seed))):
+            grammars += [g, with_clashing_twin(g, seed)]
+    for g in grammars:
+        s = g.semiring
+        determined, finals = constraint_determine(g), boolean_finals(g)
+        assert classify(determined).constraint_determined
+        assert classify(finals).boolean_final
+        # a name the input lacks is `q#p<id>` of a production, primed
+        # until it is fresh
+        split = {f"{p.target}#{g.prod_id(p)}" for p in g.productions}
+        for q in determined.nonterminals - g.nonterminals:
+            assert q.rstrip("'") in split, (serialize_grammar(g), q)
+        copied = finals.nonterminals - g.nonterminals
+        assert len(copied) == len(g.final_support())
+        for tree in enumerate_trees(g.alphabet, 5):
+            w = evaluate(g, tree)
+            assert evaluate(determined, tree) == w, \
+                (serialize_grammar(g), term_str(tree))
+            assert evaluate(finals, tree) == w, \
+                (serialize_grammar(g), term_str(tree))
 
 
 # -- union and product -------------------------------------------------------
