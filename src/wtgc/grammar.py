@@ -275,20 +275,28 @@ def _is_classic(g: Wtgc, p: Production) -> bool:
     return p.constrained_positions() <= nt_positions
 
 
+def clashing(g: Wtgc) -> frozenset:
+    """The productions that share lhs and target with a production of
+    other constraint sets; g is constraint-determined when there are
+    none."""
+    by_shape = {}
+    for p in g.productions:
+        by_shape.setdefault((p.lhs, p.target), set()).add((p.eq, p.ineq))
+    return frozenset(p for p in g.productions
+                     if len(by_shape[p.lhs, p.target]) > 1)
+
+
 def classify(g: Wtgc) -> Classification:
     if g._classification is not None:
         return g._classification
     s = g.semiring
-    by_shape = {}
-    for p in g.productions:
-        by_shape.setdefault((p.lhs, p.target), set()).add((p.eq, p.ineq))
     g._classification = Classification(
         normalized=all(not g.decompose(p).checks for p in g.productions),
         positive=all(not p.ineq for p in g.productions),
         classic=all(_is_classic(g, p) for p in g.productions),
         unconstrained=all(not p.eq and not p.ineq for p in g.productions),
         boolean_final=all(w in (s.zero, s.one) for w in g.final.values()),
-        constraint_determined=all(len(v) == 1 for v in by_shape.values()),
+        constraint_determined=not clashing(g),
     )
     return g._classification
 

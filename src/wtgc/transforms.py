@@ -30,6 +30,7 @@ from .grammar import (
     Production,
     Wtgc,
     classify,
+    clashing,
     eq_restriction,
     production_str,
     sink_productions,
@@ -242,17 +243,27 @@ def normalize(g: Wtgc) -> Wtgc:
 
 
 def boolean_finals(g: Wtgc) -> Wtgc:
-    """Equivalent grammar with final weights in {0, 1}: accepting copies
-    of the final-supported nonterminals pre-apply the final weight."""
+    """Equivalent grammar with final weights in {0, 1}.
+
+    The paper gives every final-supported nonterminal q an accepting
+    copy `q#f` whose productions pre-apply q's final weight, and sets
+    every final weight of the input to zero.  A final weight that is
+    already the semiring's one needs no copy, so only the others are
+    copied: such a q keeps its final weight, and a copied q's weight
+    moves to its copy.  Either way each tree keeps its weight, and every
+    final weight is zero or one.  A Boolean-final input comes back
+    unchanged."""
     s = g.semiring
     names = Names(set(g.nonterminals) | set(g.alphabet.names()),
                   lambda q: q + "#f")
-    copies = {q: names[q] for q in g.final_support()}
+    copies = {q: names[q] for q in g.final_support() if g.final[q] != s.one}
+    if not copies:
+        return g
     accepting = weighted_productions(s, (
         ((p.lhs, copies[p.target], p.eq, p.ineq),
          s.mul(p.weight, g.final[p.target]))
         for p in g.productions if p.target in copies))
-    final = {q: s.zero for q in g.nonterminals}
+    final = {q: s.zero if q in copies else w for q, w in g.final.items()}
     final.update({c: s.one for c in copies.values()})
     return Wtgc(set(final), g.alphabet, final,
                 set(g.productions) | accepting, s)
@@ -344,34 +355,50 @@ def support_grammar(g: Wtgc) -> Wtgc:
 
 def constraint_determine(g: Wtgc) -> Wtgc:
     """Equivalent WTAc in which no two productions differ only in their
-    constraint sets: each production p gets its own target `q#p`, and a
-    child slot for q ranges over the productions with target q.  Only
-    the productions reached bottom-up get a nonterminal.
+    constraint sets.
+
+    The paper gives every production p its own target `q#p`, and a
+    child slot for q ranges over all productions with target q.  Only a
+    clashing production (one that shares lhs and target with another of
+    other constraint sets, `clashing`) needs that: here it alone gets
+    `q#p`, and every other production keeps its target q, so a child
+    slot for q ranges over q itself and the split targets of q's
+    clashing productions.  A tree weighs at q the sum of its weights at
+    those nonterminals, as in the paper's construction, so every
+    weight is kept; a production that keeps its target has no clashing
+    partner, so the output is constraint-determined.  An input without
+    clashes comes back as its bottom-up productive part under its own
+    names.  Only the productions reached bottom-up are built.
 
     A tree derived to `q#rho` has the root label of rho's lhs, so a
-    combination that gives two children tied by p's equalities
-    productions of different root labels fires on no tree and is not
-    built; neither is a production whose constraints no tree satisfies.
+    combination that gives two children tied by p's equalities split
+    targets of different root labels fires on no tree and is not built;
+    neither is a production whose constraints no tree satisfies.
     """
     if not classify(g).normalized:
         raise TransformError("constraint determination needs a WTAc")
-    names = Names(g.alphabet.names(),
+    names = Names(set(g.nonterminals) | set(g.alphabet.names()),
                   lambda p: f"{p.target}#{g.prod_id(p)}")
+    clashes = clashing(g)
+    split = {p: names[p] for p in g.productions if p in clashes}
+    roots = {name: p.lhs.label for p, name in split.items()}
     links = {p: _equal_children(len(p.lhs.children), p.eq, p.ineq)
              for p in g.productions}
     productions = set()
 
     def fire(p, combo):
-        if any(combo[i].lhs.label != combo[j].lhs.label
-               for i, j in links[p]):
+        if any(combo[i] in roots and combo[j] in roots
+               and roots[combo[i]] != roots[combo[j]] for i, j in links[p]):
             return ()
-        lhs = Tree(p.lhs.label, [leaf(names[rho]) for rho in combo])
-        productions.add(Production(lhs, names[p], p.weight, p.eq, p.ineq))
-        return ((p.target, p),)
+        target = split.get(p, p.target)
+        lhs = Tree(p.lhs.label, [leaf(name) for name in combo])
+        productions.add(Production(lhs, target, p.weight, p.eq, p.ineq))
+        return ((p.target, target),)
 
     reached = saturate({p: g.decompose(p).states for p in g.productions
                         if links[p] is not None}, fire)
-    final = {names[p]: g.final[q] for q, ps in reached.items() for p in ps}
+    final = {name: g.final[q] for q, found in reached.items()
+             for name in found}
     return Wtgc(set(final), g.alphabet, final, productions, g.semiring)
 
 

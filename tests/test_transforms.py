@@ -18,6 +18,7 @@ from wtgc.errors import SemiringError, TransformError
 from wtgc.grammar import (
     Production,
     Wtgc,
+    clashing,
     classify,
     eq_restriction,
     production_str,
@@ -162,6 +163,7 @@ def test_boolean_finals_flags_and_equivalence(fx1, fx3, fx6):
         assert cls_out.normalized == cls_in.normalized
         assert cls_out.positive == cls_in.positive
         assert cls_out.classic == cls_in.classic
+        assert (out == g) == cls_in.boolean_final
         assert_equivalent(g, out, 8)
 
 
@@ -310,18 +312,42 @@ def test_constraint_determine_splits_twins():
 
 
 def test_constraint_determine_builds_only_reached_productions(fx1):
-    # the parent construction made one nonterminal per (q, production)
-    # pair: 12 nonterminals and 25 productions
-    out = constraint_determine(normalize(fx1))
-    assert (len(out.nonterminals), len(out.productions)) == (4, 7)
+    # nothing of normalize(fx1) clashes, so every production keeps its
+    # target; the paper's construction made one nonterminal per
+    # (q, production) pair, 12 nonterminals and 25 productions, and
+    # splitting every production reached gave 4 and 7
+    n = normalize(fx1)
+    out = constraint_determine(n)
+    assert (len(out.nonterminals), len(out.productions)) == (3, 4)
+    assert out == n
 
 
 def test_constraint_determine_skips_unequal_labels(fx2g):
-    # fx2g's `sigma(q,q) -> q [eq 1=2]` gets no production over children
-    # derived by productions of different root labels: 7 productions of
-    # the 13 that every combination would give
-    out = constraint_determine(fx2g)
-    assert (len(out.nonterminals), len(out.productions)) == (3, 7)
+    # fx2g with a twin of `sigma(q,q) -> q` without its equality and a
+    # twin of `gamma(q) -> q` over a leaf: the four twins clash and are
+    # split, and `sigma(q,q) -> q [eq 1=2]` gets no production over a
+    # gamma split and a sigma split, 53 productions of the 61 that every
+    # combination would give
+    sigma, gamma = (Tree(label, [leaf("q")] * rank)
+                    for label, rank in (("sigma", 2), ("gamma", 1)))
+    g = Wtgc(fx2g.nonterminals, fx2g.alphabet, fx2g.final,
+             [*fx2g.productions, Production(sigma, "q", 1),
+              Production(gamma, "q", 1, (), [((1, 1), (1, 1))])],
+             fx2g.semiring)
+    out = constraint_determine(g)
+    assert (len(out.nonterminals), len(out.productions)) == (5, 53)
+    assert_equivalent(g, out, 7)
+
+
+def test_determination_and_boolean_finals_read_back():
+    # no fixture clashes, and only fx6 has a final weight other than one
+    for name in ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5", "fx6"):
+        g = load_grammar(name)
+        outs = [constraint_determine(normalize(g))]
+        if name != "fx6":
+            outs.append(boolean_finals(g))
+        for out in outs:
+            assert parse_grammar(serialize_grammar(out)) == out
 
 
 def test_determine_and_product_random():
@@ -354,11 +380,32 @@ SPELLED_LIKE_A_SPLIT = Wtgc(
     NATURAL)
 
 
+# clashes under two root labels: the twins of gamma and those of delta
+# are split, and q also derives gamma trees through the unsplit
+# gamma(r); sigma's equality ties a child derived to q with a gamma
+# split, its inequality a gamma split with a delta split
+MIXED_CLASHES = """semiring nat
+alphabet alpha:0 gamma:1 delta:1 sigma:2
+nonterminals q r
+final q = 1
+final r = 2
+prod alpha -> q @ 1
+prod alpha -> r @ 1
+prod gamma(r) -> q @ 1
+prod gamma(q) -> q @ 2
+prod gamma(q) -> q [ne 1.1=1.1] @ 1
+prod delta(q) -> q @ 1
+prod delta(q) -> q [eq 1.1=1.1] @ 2
+prod sigma(q,q) -> q [eq 1=2] @ 1
+prod sigma(q,q) -> r [ne 1=2] @ 3
+"""
+
+
 def test_determination_and_boolean_finals_match_the_oracle():
     """Constraint determination and Boolean finals against the input's
     own weights on every tree of size 5 or less, on random normalized
     grammars with and without a clashing twin."""
-    grammars = [SPELLED_LIKE_A_SPLIT]
+    grammars = [SPELLED_LIKE_A_SPLIT, parse_grammar(MIXED_CLASHES)]
     for seed in range(40):
         for g in (normalize(random_wtgc(seed)),
                   normalize(random_ne_wtgc(seed))):
@@ -368,13 +415,14 @@ def test_determination_and_boolean_finals_match_the_oracle():
         determined, finals = constraint_determine(g), boolean_finals(g)
         assert classify(determined).constraint_determined
         assert classify(finals).boolean_final
-        # a name the input lacks is `q#p<id>` of a production, primed
-        # until it is fresh
-        split = {f"{p.target}#{g.prod_id(p)}" for p in g.productions}
+        # a name the input lacks is `q#p<id>` of a clashing production,
+        # primed until it is fresh
+        split = {f"{p.target}#{g.prod_id(p)}" for p in clashing(g)}
         for q in determined.nonterminals - g.nonterminals:
             assert q.rstrip("'") in split, (serialize_grammar(g), q)
         copied = finals.nonterminals - g.nonterminals
-        assert len(copied) == len(g.final_support())
+        assert len(copied) == sum(g.final[q] != s.one
+                                  for q in g.final_support())
         for tree in enumerate_trees(g.alphabet, 5):
             w = evaluate(g, tree)
             assert evaluate(determined, tree) == w, \
@@ -660,6 +708,31 @@ prod sigma(c2,c0) -> c0 @ 2
 prod sigma(c0,c0) -> c1 @ 2
 prod sigma(gamma(c0),c2) -> c2 @ 3
 """
+
+
+# the 2-state nat counter of the constructions benchmark
+COUNTER2 = """semiring nat
+alphabet alpha:0 gamma:1 sigma:2
+nonterminals c0 c1
+final c1 = 2
+prod alpha -> c0 @ 1
+prod gamma(c1) -> c1 @ 3
+prod gamma(c0) -> c1 @ 1
+prod gamma(c1) -> c0 @ 3
+prod sigma(c0,c1) -> c0 [eq 1=2] @ 1
+prod sigma(c0,c1) -> c0 [ne 1=2] @ 1
+prod sigma(c1,c0) -> c0 @ 1
+prod sigma(c0,c0) -> c1 @ 2
+prod sigma(gamma(c0),c1) -> c1 @ 3
+"""
+
+
+def test_constraint_determination_of_the_counters_is_small():
+    # (nonterminals, productions); splitting every production reached
+    # gave (10, 96) and (12, 76)
+    for text, size in ((COUNTER2, (5, 28)), (COUNTER, (6, 22))):
+        out = constraint_determine(normalize(parse_grammar(text)))
+        assert (len(out.nonterminals), len(out.productions)) == size
 
 
 def test_support_automata_are_small():
