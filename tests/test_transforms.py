@@ -328,11 +328,11 @@ def test_constraint_determine_skips_unequal_labels(fx2g):
     # split, and `sigma(q,q) -> q [eq 1=2]` gets no production over a
     # gamma split and a sigma split, 53 productions of the 61 that every
     # combination would give
-    sigma, gamma = (Tree(label, [leaf("q")] * rank)
-                    for label, rank in (("sigma", 2), ("gamma", 1)))
     g = Wtgc(fx2g.nonterminals, fx2g.alphabet, fx2g.final,
-             [*fx2g.productions, Production(sigma, "q", 1),
-              Production(gamma, "q", 1, (), [((1, 1), (1, 1))])],
+             [*fx2g.productions,
+              Production(t("sigma", leaf("q"), leaf("q")), "q", 1),
+              Production(t("gamma", leaf("q")), "q", 1, (),
+                         [((1, 1), (1, 1))])],
              fx2g.semiring)
     out = constraint_determine(g)
     assert (len(out.nonterminals), len(out.productions)) == (5, 53)
@@ -340,10 +340,12 @@ def test_constraint_determine_skips_unequal_labels(fx2g):
 
 
 def test_determination_and_boolean_finals_read_back():
-    # no fixture clashes, and only fx6 has a final weight other than one
+    # no fixture clashes, so each normalized fixture determines to
+    # itself, and only fx6 has a final weight other than zero and one
     for name in ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5", "fx6"):
         g = load_grammar(name)
         outs = [constraint_determine(normalize(g))]
+        assert outs[0] == normalize(g)
         if name != "fx6":
             outs.append(boolean_finals(g))
         for out in outs:
