@@ -26,7 +26,13 @@ from . import decision, pumping, semantics, transforms
 from .errors import WtgcError
 from .homomorphism import image_grammar, image_weight_oracle, relabeling_hom
 from .semiring import identity_hom, support_hom
-from .syntax import parse_grammar, parse_hom, parse_term, serialize_grammar
+from .syntax import (
+    content_lines,
+    parse_grammar,
+    parse_hom,
+    parse_term,
+    serialize_grammar,
+)
 from .trees import enumerate_trees, pos_str, term_str
 
 ORACLE_SIZE_CAP = 12
@@ -75,9 +81,7 @@ def _relabel_map(args, g) -> dict:
     """The relabeling of `--map-file` then `--map`, identity elsewhere."""
     entries = []
     if args.map_file is not None:
-        lines = (raw.split("#", 1)[0].strip()
-                 for raw in _read(args.map_file).splitlines())
-        entries = [line for line in lines if line]
+        entries = [line for _, line in content_lines(_read(args.map_file))]
     mapping = {}
     for entry in entries + (args.map or []):
         if "=" not in entry:

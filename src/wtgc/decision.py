@@ -28,11 +28,7 @@ from .errors import DecisionError
 from .grammar import Wtgc, classify, eq_restriction
 from .pumping import ensure_nonbot_child
 from .semantics import weight_map
-from .transforms import (  # noqa: F401  (ProductivityTable re-exported)
-    ProductivityTable,
-    eliminate_zero_derivations,
-    productivity,
-)
+from .transforms import eliminate_zero_derivations, productivity
 from .trees import Tree, compositions, enumerate_trees
 
 

@@ -24,6 +24,7 @@ from .trees import (
     pos_str,
     term_str,
     valid_name,
+    walk,
 )
 
 
@@ -195,21 +196,17 @@ class Wtgc:
 
 
 def decompose(p: Production, nonterminals) -> DecomposedLhs:
-    """Split the lhs below its root, walking in pre-order with an explicit
-    stack; a well-formed lhs has a symbol at the root."""
+    """Split the lhs below its root in pre-order; a well-formed lhs has a
+    symbol at the root."""
     states, positions, checks = [], [], []
-    stack = [(p.lhs, ())]
-    while stack:
-        node, w = stack.pop()
-        kids = node.children
-        if w:
-            if not kids and node.label in nonterminals:
-                states.append(node.label)
-                positions.append(w)
-                continue
-            checks.append((w, node.label, len(kids)))
-        for i in range(len(kids), 0, -1):
-            stack.append((kids[i - 1], w + (i,)))
+    for w, node in walk(p.lhs):
+        if not w:
+            continue
+        if not node.children and node.label in nonterminals:
+            states.append(node.label)
+            positions.append(w)
+        else:
+            checks.append((w, node.label, len(node.children)))
     return DecomposedLhs(tuple(states), tuple(positions), tuple(checks))
 
 
@@ -301,40 +298,23 @@ def classify(g: Wtgc) -> Classification:
     return g._classification
 
 
-def index_constraints(g: Wtgc, p: Production) -> frozenset:
-    """The equality constraints of a classic production expressed on the
-    indices 1..k of its decomposition."""
-    d = g.decompose(p)
-    by_pos = {w: i + 1 for i, w in enumerate(d.positions)}
-    out = set()
-    for v, w in p.eq:
-        if v not in by_pos or w not in by_pos:
-            raise GrammarError(
-                f"non-classic production {production_str(p, g.semiring)}")
-        i, j = by_pos[v], by_pos[w]
-        out.add((i, j) if i <= j else (j, i))
-    return frozenset(out)
+def equality_classes(pairs) -> dict:
+    """Every position named in `pairs` mapped to the least position of
+    its class under the reflexive, symmetric and transitive closure of
+    the pairs."""
+    least: dict = {}
 
+    def find(v):
+        while least[v] != v:
+            v = least[v]
+        return v
 
-def _index_classes(g: Wtgc, p: Production) -> dict[int, frozenset]:
-    """Equivalence classes of 1..k under the reflexive-transitive closure
-    of the index constraints."""
-    k = len(g.decompose(p).states)
-    parent = list(range(k + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in index_constraints(g, p):
-        parent[find(i)] = find(j)
-    groups = {}
-    for i in range(1, k + 1):
-        groups.setdefault(find(i), []).append(i)
-    return {i: frozenset(members)
-            for members in groups.values() for i in members}
+    for v, w in pairs:
+        least.setdefault(v, v)
+        least.setdefault(w, w)
+        a, b = find(v), find(w)
+        least[max(a, b)] = min(a, b)
+    return {v: find(v) for v in least}
 
 
 @dataclass(frozen=True)
@@ -383,27 +363,32 @@ def _find_eq_restriction(g: Wtgc):
         return None
     for sink in _sink_candidates(g):
         governing = {}
-        ok = True
         for p in g.productions:
-            states = g.decompose(p).states
-            classes = _index_classes(g, p)
-            gp = {}
-            for i in range(1, len(states) + 1):
-                members = classes[i]
-                non_sink = [j for j in members if states[j - 1] != sink]
-                if len(non_sink) == 1:
-                    gp[i] = non_sink[0]
-                elif not non_sink and len(members) == 1:
-                    gp[i] = i
-                else:
-                    ok = False
-                    break
-            if not ok:
+            gp = _governing(g, p, sink)
+            if gp is None:
                 break
             governing[p] = gp
-        if ok:
+        else:
             return EqRestriction(sink, governing)
     return None
+
+
+def _governing(g: Wtgc, p: Production, sink: str):
+    """The 1-based indices of a classic production mapped to the governor
+    of their equality class, or None when a class of two or more has
+    other than one non-sink member."""
+    dec = g.decompose(p)
+    least = equality_classes(p.eq)
+    classes = {}
+    for i, w in enumerate(dec.positions, 1):
+        classes.setdefault(least.get(w, w), []).append(i)
+    gp = {}
+    for members in classes.values():
+        non_sink = [i for i in members if dec.states[i - 1] != sink]
+        if len(non_sink) != 1 and len(members) != 1:
+            return None
+        gp.update((i, (non_sink or members)[0]) for i in members)
+    return dict(sorted(gp.items()))
 
 
 class Names(dict):

@@ -92,9 +92,10 @@ def substitute_derivation(site: SubstitutionSite, *,
     variables follow each other left to right and end just before the
     step itself.  So the new step list is spliced from slices of the
     base's steps, the donor's steps prefixed once, and the sink steps of
-    the linked copies, all at absolute positions.  A base that does not
-    replay on the base tree raises `PumpError`; `replayed=True` says
-    that the caller has checked that it does, and skips the replay.
+    the linked copies, all at absolute positions.  A base or a donor
+    that does not replay on its tree raises `PumpError`;
+    `replayed=True` says that the caller has checked that both do, and
+    skips the replays.
     """
     g = site.grammar
     er = eq_restriction(g)
@@ -142,11 +143,16 @@ def substitute_derivation(site: SubstitutionSite, *,
         node = subtree(node, dec.positions[j])
         u, end = u + dec.positions[j], ends[j]
     # the walk above reports the malformed bases it meets; any other
-    # base must replay, or the splice would build a non-derivation
+    # base, and the donor, must replay, or the splice would build a
+    # non-derivation
     if not replayed and (base.input != site.base_tree
                          or not replay_derivation(g, base)):
         raise PumpError("the base derivation does not replay on the base "
                         "tree")
+    if donor.input != site.donor_tree or not (
+            replayed or replay_derivation(g, donor)):
+        raise PumpError("the donor derivation does not replay on the "
+                        "donor tree")
 
     # Back up: the new subtree of each level, and the blocks left and
     # right of variable j; untouched blocks are slices of the base's

@@ -143,6 +143,16 @@ def _parse_pairs(body: str, line: int, position):
     return pairs
 
 
+def content_lines(text: str):
+    """(line number, content) for every line that holds more than a
+    comment: a comment runs from the line's first `#` to its end, and
+    the content is the rest, stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield lineno, content
+
+
 def parse_grammar(text: str) -> Wtgc:
     semiring: Semiring | None = None
     alphabet_items: dict[str, int] = {}
@@ -150,10 +160,7 @@ def parse_grammar(text: str) -> Wtgc:
     finals: list[tuple[str, str, int]] = []
     prod_lines: list[tuple[str, int]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
+    for lineno, content in content_lines(text):
         keyword, _, rest = content.partition(" ")
         rest = rest.strip()
         if keyword == "semiring":
@@ -259,10 +266,7 @@ def parse_hom(text: str, source: RankedAlphabet | None = None) -> TreeHom:
     `symbol -> term-over-x1..xk` line per source symbol."""
     rules: dict[str, Tree] = {}
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
+    for lineno, content in content_lines(text):
         if not saw_header:
             if content != "hom":
                 raise ParseError("homomorphism files start with `hom`",

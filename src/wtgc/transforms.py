@@ -32,6 +32,7 @@ from .grammar import (
     classify,
     clashing,
     eq_restriction,
+    equality_classes,
     production_str,
     sink_productions,
 )
@@ -160,27 +161,18 @@ def _equal_children(rank: int, eq, ineq) -> tuple | None:
             if len(v) < 2 and (not v or v[0] <= rank):
                 return None
             absent.append(v)
-    root: dict = {}
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for v, w in eq:
-        if v != w and (w[:len(v)] == v or v[:len(w)] == w):
-            return None
-        for u in (v, w):
-            if u and u[0] > rank or any(u[:len(a)] == a for a in absent):
-                return None
-            root.setdefault(u, u)
-        root[find(v)] = find(w)
-    if any(v in root and w in root and find(v) == find(w) for v, w in ineq):
+    if any(v != w and (w[:len(v)] == v or v[:len(w)] == w) for v, w in eq):
+        return None
+    least = equality_classes(eq)
+    if any(u and u[0] > rank or any(u[:len(a)] == a for a in absent)
+           for u in least):
+        return None
+    if any(v in least and least[v] == least.get(w) for v, w in ineq):
         return None
     first: dict = {}
     links = []
-    for u in sorted(u for u in root if len(u) == 1):
-        i = first.setdefault(find(u), u[0] - 1)
+    for u in sorted(u for u in least if len(u) == 1):
+        i = first.setdefault(least[u], u[0] - 1)
         if i != u[0] - 1:
             links.append((i, u[0] - 1))
     return tuple(links)

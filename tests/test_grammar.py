@@ -15,7 +15,7 @@ from wtgc.grammar import (
     Wtgc,
     classify,
     eq_restriction,
-    index_constraints,
+    equality_classes,
     make_constraints,
     production_str,
     validate,
@@ -197,13 +197,21 @@ def test_classify_constraint_determined(fx2g):
     assert not classify(doubled).constraint_determined
 
 
-def test_index_constraints(fx1, fx4):
+def test_equality_classes(fx1, fx4):
     pf = _prod(fx4, "f(q")
-    assert index_constraints(fx4, pf) == {(1, 3)}
+    assert equality_classes(pf.eq) == {(1,): (1,), (2, 2): (1,)}
     p1 = _prod(fx4, "a ->")
-    assert index_constraints(fx4, p1) == frozenset()
+    assert equality_classes(p1.eq) == {}
     p3 = _prod(fx1, "sigma")
-    assert index_constraints(fx1, p3) == {(1, 2)}
+    assert equality_classes(p3.eq) == {(1, 1): (1, 1), (2,): (1, 1)}
+    # 1=3 only through 2; every position maps to the least of its class
+    chain = {(1,): (1,), (2,): (1,), (3,): (1,)}
+    assert equality_classes([((1,), (2,)), ((2,), (3,))]) == chain
+    assert equality_classes([((2,), (3,)), ((1,), (2,))]) == chain
+    assert equality_classes([((3,), (2,)), ((2,), (1,))]) == chain
+    # classes stay apart, and a pair p=p names p
+    assert equality_classes([((1,), (3,)), ((2,), (2,)), ((4,), (2,))]) == {
+        (1,): (1,), (3,): (1,), (2,): (2,), (4,): (2,)}
 
 
 def test_eq_restriction_fx4(fx4):

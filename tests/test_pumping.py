@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import t
@@ -131,6 +133,29 @@ def test_substitution_rejects_a_base_that_does_not_replay(fx4):
     (dp,) = derivations(fx4, donor, "q")
     site = SubstitutionSite(fx4, base, d, donor, dp, (2,))
     with pytest.raises(PumpError, match="does not replay"):
+        substitute_derivation(site)
+
+
+def test_substitution_rejects_a_donor_of_another_tree(fx4, fx4_site):
+    # the donor tree is g(a,a), the donor derivation derives a to q: the
+    # splice would not replay, whether or not the caller vouches for it
+    a = parse_term("a", fx4.alphabet)
+    (da,) = derivations(fx4, a, "q")
+    site = replace(fx4_site, donor_derivation=da)
+    for replayed in (False, True):
+        with pytest.raises(PumpError, match="donor derivation does not"):
+            substitute_derivation(site, replayed=replayed)
+
+
+def test_substitution_rejects_a_donor_that_does_not_replay(fx4, fx4_site):
+    # a derivation of the donor tree g(a,a) to q that derives the second
+    # child to q where g(q,bot) needs bot
+    prods = {fx4.spellings[i]: p for i, p in enumerate(fx4.productions)}
+    to_q, root = prods["a -> q @ 1"], prods["g(q,bot) -> q [eq 1=2] @ 1"]
+    d = Derivation(((to_q, (1,)), (to_q, (2,)), (root, ())),
+                   fx4_site.donor_tree, "q")
+    site = replace(fx4_site, donor_derivation=d)
+    with pytest.raises(PumpError, match="donor derivation does not"):
         substitute_derivation(site)
 
 

@@ -21,6 +21,7 @@ from wtgc.grammar import (
     clashing,
     classify,
     eq_restriction,
+    make_constraints,
     production_str,
     sink_productions,
 )
@@ -284,6 +285,37 @@ def test_support_grammar_needs_zero_divisor_freeness():
 
 
 # -- constraint determination ------------------------------------------------
+
+
+@pytest.mark.parametrize("rank, eq, ineq, links", [
+    # an equality with a proper prefix
+    (2, [((1,), (1, 1))], [], None),
+    (2, [((), (2,))], [], None),
+    # a first step beyond the rank
+    (2, [((1,), (3,))], [], None),
+    (2, [((1,), (3, 1))], [], None),
+    # an inequality inside one class, directly or by transitivity
+    (2, [((1,), (2,))], [((1,), (2,))], None),
+    (3, [((1,), (2,)), ((2,), (3,))], [((1,), (3,))], None),
+    (3, [((1, 1), (2,)), ((2,), (3, 2))], [((3, 2), (1, 1))], None),
+    # an equality at or below a position the inequalities call absent
+    (2, [((1, 1), (2,))], [((1, 1), (1, 1))], None),
+    (2, [((1, 1, 2), (2,))], [((1, 1), (1, 1))], None),
+    # the root or a child called absent
+    (2, [], [((), ())], None),
+    (2, [], [((2,), (2,))], None),
+    # satisfiable: each linked child points at the first child of its
+    # class, which need not hold the class's least position
+    (2, [], [((3,), (3,)), ((1, 1), (1, 1))], ()),
+    (2, [((1,), (2,))], [((2, 1), (2, 1))], ((0, 1),)),
+    (3, [((1,), (3,)), ((2, 1), (3,))], [((1,), (2,))], ((0, 2),)),
+    (3, [((2,), (3,)), ((1, 1), (2,))], [((1,), (2,))], ((1, 2),)),
+    (3, [((3,), (2,)), ((2,), (1,))], [((1, 1), (2, 1))], ((0, 1), (0, 2))),
+])
+def test_equal_children(rank, eq, ineq, links):
+    got = transforms._equal_children(rank, make_constraints(eq),
+                                     make_constraints(ineq))
+    assert got == links
 
 
 def test_constraint_determine(fx2g, fx3):
