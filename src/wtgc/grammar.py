@@ -298,23 +298,39 @@ def classify(g: Wtgc) -> Classification:
     return g._classification
 
 
-def equality_classes(pairs) -> dict:
-    """Every position named in `pairs` mapped to the least position of
-    its class under the reflexive, symmetric and transitive closure of
-    the pairs."""
-    least: dict = {}
+def equality_classes(pairs, named=()) -> dict | None:
+    """Every position named in `pairs` or `named` mapped to the least
+    position of its class under the congruence closure of the pairs
+    over those positions and their prefixes: with u = v also u.i = v.i
+    (Downey, Sethi & Tarjan, 1980).  None when a class lies below
+    itself, which no finite tree allows (Paterson & Wegman, 1978)."""
+    named = {v for pair in pairs for v in pair}.union(named)
+    least = {v[:k]: v[:k] for v in named for k in range(len(v) + 1)}
+    kids: dict = {v: {} for v in least}  # per class, a child per step
+    for v in filter(None, least):
+        kids[v[:-1]][v[-1]] = v
 
     def find(v):
         while least[v] != v:
             v = least[v]
         return v
 
-    for v, w in pairs:
-        least.setdefault(v, v)
-        least.setdefault(w, w)
-        a, b = find(v), find(w)
-        least[max(a, b)] = min(a, b)
-    return {v: find(v) for v in least}
+    todo = list(pairs)
+    while todo:
+        a, b = sorted(map(find, todo.pop()))
+        if a != b:
+            least[b] = a
+            for i, child in kids.pop(b).items():
+                todo.append((kids[a].setdefault(i, child), child))
+    below = {v: {find(c) for c in children.values()}
+             for v, children in kids.items()}
+    done: set = set()
+    while len(done) < len(below):  # peel bottom-up; a cycle never peels
+        ready = {v for v, children in below.items() if children <= done}
+        if ready <= done:
+            return None
+        done |= ready
+    return {v: find(v) for v in named}
 
 
 @dataclass(frozen=True)

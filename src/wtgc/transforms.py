@@ -14,8 +14,8 @@ fixpoint: a nonterminal exists once every child slot of some production
 is filled.  `saturate` evaluates it semi-naively for all of them, so
 each builds only the nonterminals reached bottom-up, and `STATE_CAP`
 bounds them all.  Constraint determination, the product and
-disambiguation also skip the productions whose constraints no tree
-satisfies (`_equal_children`).
+disambiguation skip exactly the constraint sets that no node fits,
+decided by one congruence closure (`_equal_children`).
 """
 
 from __future__ import annotations
@@ -47,8 +47,13 @@ from .trees import (
 )
 
 STATE_CAP = 1_000_000
-"""The most values one `saturate` call may find; one more raises
-`TransformError`."""
+"""The most values one `saturate` call, or the splits of one symbol in
+`disambiguate`, may reach; one more raises `TransformError`."""
+
+
+def _check_cap(count: int):
+    if count > STATE_CAP:
+        raise TransformError(f"construction exceeded {STATE_CAP} states")
 
 
 def _mangle(t: Tree) -> str:
@@ -84,9 +89,7 @@ def saturate(rules: dict, fire) -> dict:
         for key, value in derived:
             pool = pools.setdefault(key, {})
             if value not in pool:
-                if len(found) >= STATE_CAP:
-                    raise TransformError(
-                        f"construction exceeded {STATE_CAP} states")
+                _check_cap(len(found) + 1)
                 pool[value] = None
                 found.append((key, value))
 
@@ -144,30 +147,37 @@ def _equal_children(rank: int, eq, ineq) -> tuple | None:
     when no node of a symbol of this rank satisfies every pair of `eq`
     and fails every pair of `ineq`.
 
-    A failing pair p=p says that p is absent, not that p differs.  No
-    node fits when
-    - a pair of `eq` relates a position to one of its proper prefixes
-      (a finite tree differs from its proper subtrees);
-    - a pair of `eq` uses a position whose first step exceeds the rank;
-    - both positions of a pair of `ineq` lie in one class of `eq`,
-      closed by transitivity;
-    - a pair of `eq` uses p, or a position below p, while `ineq` holds
-      p=p;
-    - `ineq` holds p=p for the root or a child, which are always there.
+    The classes are those of `grammar.equality_classes` over every
+    position of the pairs; a failing pair p=p says that p is absent.
+    A class is present when `eq` names it, or when it holds the root, a
+    child, or the parent or a left sibling of a present position.  No
+    node fits when the closure has no finite tree, or when a present
+    class holds a child beyond the rank or both positions of a pair of
+    `ineq`.  Otherwise one node fits: give each present class a fresh
+    symbol whose rank is its last present step, the root the given
+    symbol, and every other child a fresh leaf.  Its subtrees at two
+    positions are equal exactly when both lie in one present class.
     """
-    absent = []
-    for v, w in ineq:
-        if v == w:
-            if len(v) < 2 and (not v or v[0] <= rank):
-                return None
-            absent.append(v)
-    if any(v != w and (w[:len(v)] == v or v[:len(w)] == w) for v, w in eq):
+    if not eq and not ineq:
+        return ()
+    least = equality_classes(eq, [v[:k] for pair in eq | ineq
+                                  for v in pair for k in range(len(v) + 1)])
+    if least is None:
         return None
-    least = equality_classes(eq)
-    if any(u and u[0] > rank or any(u[:len(a)] == a for a in absent)
-           for u in least):
-        return None
-    if any(v in least and least[v] == least.get(w) for v, w in ineq):
+    steps = {(least[v[:-1]], v[-1]): least[v] for v in least if v}
+    present = {least[()], *(least[v] for pair in eq for v in pair)}
+    while True:
+        last = {least[()]: rank}
+        for (c, i), d in steps.items():
+            if d in present:
+                last[c] = max(i, last.get(c, 0))
+        more = {*last, *(d for (c, i), d in steps.items()
+                         if i <= last.get(c, 0))}
+        if more <= present:
+            break
+        present |= more
+    if last[least[()]] > rank or any(
+            least[v] == least[w] in present for v, w in ineq):
         return None
     first: dict = {}
     links = []
@@ -358,14 +368,14 @@ def constraint_determine(g: Wtgc) -> Wtgc:
     clashing productions.  A tree weighs at q the sum of its weights at
     those nonterminals, as in the paper's construction, so every
     weight is kept; a production that keeps its target has no clashing
-    partner, so the output is constraint-determined.  An input without
-    clashes comes back as its bottom-up productive part under its own
-    names.  Only the productions reached bottom-up are built.
+    partner, so the output is constraint-determined.  Only the
+    productions reached bottom-up are built.
 
-    A tree derived to `q#rho` has the root label of rho's lhs, so a
-    combination that gives two children tied by p's equalities split
-    targets of different root labels fires on no tree and is not built;
-    neither is a production whose constraints no tree satisfies.
+    A tree derived to a target has the root label of one of the
+    target's productions, so a combination that gives two children
+    tied by p's equalities targets with no root label in common fires
+    on no tree and is not built; neither is a production whose
+    constraints no tree satisfies.
     """
     if not classify(g).normalized:
         raise TransformError("constraint determination needs a WTAc")
@@ -373,14 +383,17 @@ def constraint_determine(g: Wtgc) -> Wtgc:
                   lambda p: f"{p.target}#{g.prod_id(p)}")
     clashes = clashing(g)
     split = {p: names[p] for p in g.productions if p in clashes}
-    roots = {name: p.lhs.label for p, name in split.items()}
     links = {p: _equal_children(len(p.lhs.children), p.eq, p.ineq)
              for p in g.productions}
+    labels: dict = {}
+    for p in g.productions:
+        if links[p] is not None:
+            labels.setdefault(split.get(p, p.target), set()).add(p.lhs.label)
     productions = set()
 
     def fire(p, combo):
-        if any(combo[i] in roots and combo[j] in roots
-               and roots[combo[i]] != roots[combo[j]] for i, j in links[p]):
+        if any(labels[combo[i]].isdisjoint(labels[combo[j]])
+               for i, j in links[p]):
             return ()
         target = split.get(p, p.target)
         lhs = Tree(p.lhs.label, [leaf(name) for name in combo])
@@ -498,14 +511,15 @@ def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
     # of every production that fires under the split
     terms = {}
     for name, rank in g.alphabet.symbols():
-        pairs = sorted(collected[name])
-        for chosen in range(1 << len(pairs)):
-            eq = frozenset(pairs[i] for i in range(len(pairs))
-                           if chosen >> i & 1)
-            ineq = frozenset(pairs) - eq
-            links = _equal_children(rank, eq, ineq)
-            if links is None:
-                continue
+        # a set that no node fits stays unfit as it grows: extend the rest
+        splits = {(frozenset(), frozenset()): ()}
+        for pair in sorted(collected[name]):
+            grown = [(eq | {pair}, ineq) for eq, ineq in splits]
+            grown += [(eq, ineq | {pair}) for eq, ineq in splits]
+            splits = {split: links for split in grown if (
+                links := _equal_children(rank, *split)) is not None}
+            _check_cap(len(splits))
+        for (eq, ineq), links in splits.items():
             terms[(name, eq, ineq)] = links, [
                 [(hom(p.weight),
                   tuple(index[state] for state in g.decompose(p).states))

@@ -6,7 +6,7 @@ import pytest
 from wtgc.grammar import Production, Wtgc
 from wtgc.semiring import NATURAL
 from wtgc.syntax import parse_grammar, parse_hom
-from wtgc.trees import RankedAlphabet, Tree, leaf
+from wtgc.trees import RankedAlphabet, Tree, is_variable, leaf
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -221,3 +221,42 @@ def random_eq_restricted(seed: int) -> Wtgc:
     if rng.random() < 0.4 or not final:
         final["q1"] = rng.randint(1, 2)
     return Wtgc(["q1", "q2", "bot"], alphabet, final, prods, NATURAL)
+
+
+def random_wta_and_hom(seed: int):
+    """A random WTA over {a:0, g:1, f:2} with 1-3 nonterminals, 1-3
+    productions per symbol and nat weights 1-3, and a random
+    nondeleting, nonerasing homomorphism into {b:0, h:1, s:2, t:3}
+    whose right-hand sides hold each variable once or twice.  The image
+    grammar ties the two copies of a variable by an equality."""
+    from wtgc.homomorphism import TreeHom
+
+    rng = random.Random(seed)
+    source = RankedAlphabet({"a": 0, "g": 1, "f": 2})
+    qs = [f"q{i + 1}" for i in range(rng.randint(1, 3))]
+    prods = [Production(Tree(name, [leaf(rng.choice(qs))
+                                    for _ in range(rank)]),
+                        rng.choice(qs), rng.randint(1, 3))
+             for name, rank in source.symbols()
+             for _ in range(rng.randint(1, 3))]
+    final = {q: rng.randint(1, 3) for q in qs if rng.random() < 0.6}
+    g = Wtgc(qs, source, final or {qs[0]: 1}, prods, NATURAL)
+
+    rhs = {}
+    for name, rank in source.symbols():
+        nodes = [leaf(f"x{i}") for i in range(1, rank + 1)
+                 for _ in range(rng.choice((1, 1, 2)))]
+        nodes += [leaf("b")] * rng.randint(0 if nodes else 1, 1)
+        rng.shuffle(nodes)
+        while (len(nodes) > 1 or is_variable(nodes[0].label)
+               or rng.random() < 0.2):
+            if len(nodes) == 1 or rng.random() < 0.2:
+                i = rng.randrange(len(nodes))
+                nodes[i] = Tree("h", [nodes[i]])
+            else:
+                label, k = rng.choice((("s", 2), ("t", 3)))
+                group = (nodes[:k] + [leaf("b")] * k)[:k]
+                nodes[:k] = [Tree(label, group)]
+        rhs[name] = nodes[0]
+    target = RankedAlphabet({"b": 0, "h": 1, "s": 2, "t": 3})
+    return g, TreeHom(source, target, rhs)

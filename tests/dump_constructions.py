@@ -11,7 +11,9 @@ index order, or `none`), then the serialized outputs of
 `support_automaton(g)` and `complement_support(g)`; a construction that
 raises is written as its error class and message.  Run it in two
 checkouts and compare the files byte for byte to show that a change
-keeps these outputs.  Not part of the test suite.
+keeps these outputs.  The production and nonterminal totals of each
+construction over the whole set are printed on stderr.  Not part of the
+test suite.
 """
 
 import sys
@@ -64,17 +66,25 @@ def restriction_lines(g):
 
 
 def main(path):
+    totals = {label: [0, 0] for label, _ in CONSTRUCTIONS}
     with open(path, "w") as out:
         for name, g in grammars():
             lines = [f"== {name}", *restriction_lines(g)]
             for label, build in CONSTRUCTIONS:
                 try:
-                    text = serialize_grammar(build(g))
+                    built = build(g)
                 except WtgcError as e:
                     text = f"{type(e).__name__}: {e}\n"
+                else:
+                    text = serialize_grammar(built)
+                    totals[label][0] += len(built.productions)
+                    totals[label][1] += len(built.nonterminals)
                 lines.append(f"-- {label}")
                 lines.append(text.rstrip("\n"))
             out.write("\n".join(lines) + "\n")
+    for label, (productions, nonterminals) in totals.items():
+        print(f"{label}: {productions} productions, {nonterminals} "
+              "nonterminals", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import gammas, t
+from conftest import gammas, random_wta_and_hom, t
 from wtgc.errors import HomomorphismError
 from wtgc.grammar import classify, eq_restriction, production_str
 from wtgc.homomorphism import (
@@ -19,6 +19,7 @@ from wtgc.semantics import (
     evaluate,
     incorporated,
 )
+from wtgc.transforms import complement_support, support_automaton
 from wtgc.trees import RankedAlphabet, Tree, enumerate_trees, leaf, term_str
 
 ALPHA = leaf("alpha")
@@ -203,6 +204,27 @@ def test_image_grammar_agrees_with_oracle(fx3, fx3_hom, fx3_image):
     for u in enumerate_trees(fx3_image.alphabet, 7):
         assert evaluate(fx3_image, u) \
             == image_weight_oracle(fx3_hom, fx3, u), term_str(u)
+
+
+def test_random_images_match_the_oracles():
+    # images of random WTAs under homomorphisms that copy variables
+    # against the preimage sums on every tree of up to 7 nodes, and the
+    # support automata and complements of the first 30 images too (that
+    # of seed 58 alone has 48,421 productions and takes 4 s to build)
+    nonzero = 0
+    for seed in range(200):
+        g, h = random_wta_and_hom(seed)
+        image = image_grammar(g, h)
+        built = [(image, lambda w: w)]
+        if seed < 30:
+            built += [(support_automaton(image), lambda w: int(w != 0)),
+                      (complement_support(image), lambda w: int(w == 0))]
+        for u in enumerate_trees(h.target, 7):
+            w = image_weight_oracle(h, g, u)
+            for out, expected in built:
+                assert evaluate(out, u) == expected(w), (seed, term_str(u))
+            nonzero += w != 0
+    assert nonzero == 1066
 
 
 def test_image_grammar_rejects_constrained_input(fx1, fx3_hom):

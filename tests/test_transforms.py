@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -21,6 +21,7 @@ from wtgc.grammar import (
     clashing,
     classify,
     eq_restriction,
+    equality_classes,
     make_constraints,
     production_str,
     sink_productions,
@@ -56,7 +57,16 @@ from wtgc.transforms import (
     support_automaton,
     support_grammar,
 )
-from wtgc.trees import RankedAlphabet, Tree, enumerate_trees, leaf, term_str
+from wtgc.trees import (
+    RankedAlphabet,
+    Tree,
+    dissatisfies_all,
+    enumerate_trees,
+    leaf,
+    satisfies,
+    satisfies_all,
+    term_str,
+)
 
 ALPHA = leaf("alpha")
 ZERO_DIVISOR_FREE_FIXTURES = ("fx1", "fx2g", "fx2gp", "fx3", "fx4", "fx5")
@@ -304,6 +314,14 @@ def test_support_grammar_needs_zero_divisor_freeness():
     # the root or a child called absent
     (2, [], [((), ())], None),
     (2, [], [((2,), (2,))], None),
+    # an absence carried across a class: 2.1 is there, so 1.1 is too
+    (3, [((1,), (2,)), ((2, 1), (3,))], [((1, 1), (1, 1))], None),
+    (2, [((1,), (2,)), ((2, 1), (2, 1))], [((1, 1), (1, 1))], None),
+    # a cycle by congruence (2.1 = 1.1.1, so 1 = 1.1.1) or transitivity
+    (2, [((1,), (2, 1)), ((2,), (1, 1))], [], None),
+    (2, [((1,), (2,)), ((1,), (2, 1))], [], None),
+    # a second child without a first
+    (1, [((1, 2), (1, 2))], [((1, 1), (1, 1))], None),
     # satisfiable: each linked child points at the first child of its
     # class, which need not hold the class's least position
     (2, [], [((3,), (3,)), ((1, 1), (1, 1))], ()),
@@ -316,6 +334,114 @@ def test_equal_children(rank, eq, ineq, links):
     got = transforms._equal_children(rank, make_constraints(eq),
                                      make_constraints(ineq))
     assert got == links
+
+
+def fitting_node(rank, eq, ineq):
+    """The node of `_equal_children`'s docstring for a set it accepts:
+    the root `root`, a symbol `c<class>` for every other present class,
+    and the leaf `x` wherever no pair looks."""
+    least = equality_classes(eq, [v[:k] for pair in eq | ineq for v in pair
+                                  for k in range(len(v) + 1)] + [()])
+    root = least[()]
+    present = {root} | {least[v] for pair in eq for v in pair}
+    while True:  # add the parents and left siblings of present classes
+        arity = {root: rank}
+        for v in least:
+            if v and least[v] in present:
+                c = least[v[:-1]]
+                arity[c] = max(arity.get(c, 0), v[-1])
+        grown = present | set(arity) | {
+            least[v] for v in least
+            if v and v[-1] <= arity.get(least[v[:-1]], 0)}
+        if grown == present:
+            break
+        present = grown
+
+    def build(c, above=()):
+        assert c not in above, "a class lies below itself"
+        below = {v[-1]: least[v] for v in least if v and least[v[:-1]] == c}
+        return Tree("root" if c == root else f"c{c}",
+                    [build(below[i], above + (c,)) if i in below
+                     else leaf("x") for i in range(1, arity.get(c, 0) + 1)])
+
+    return build(root)
+
+
+# the children of the bounded search for a node that fits a set
+SMALL_CHILDREN = tuple(enumerate_trees(
+    RankedAlphabet({"a": 0, "b": 0, "g": 1, "f": 2, "h": 3}), 5))
+
+
+def satisfied_masks(rank, pairs):
+    """For every node `root` of the rank over children of up to 5 nodes,
+    the bit mask of the pairs it satisfies."""
+    return {sum(1 << k for k, pair in enumerate(pairs)
+                if satisfies(node, pair))
+            for node in (Tree("root", kids)
+                         for kids in product(SMALL_CHILDREN, repeat=rank))}
+
+
+def test_equal_children_is_exact_on_small_sets():
+    # every set of 1-3 pairs, each `eq` or `ne`, over the positions with
+    # steps of at most 2 and depth at most 2, at ranks 0-2: a set that
+    # the check accepts is fitted by the docstring's node, and no node of
+    # the bounded search fits a set that it rejects
+    positions = sorted([(), (1,), (2,), *product((1, 2), repeat=2)])
+    pairs = list(combinations_with_replacement(positions, 2))
+    items = [(pair, ne) for pair in pairs for ne in (False, True)]
+    accepted = 0
+    for rank in range(3):
+        fits = set()
+        for mask in satisfied_masks(rank, pairs):
+            allowed = [(pair, not mask >> k & 1)
+                       for k, pair in enumerate(pairs)]
+            for n in (1, 2, 3):
+                fits.update(combinations(allowed, n))
+        for n in (1, 2, 3):
+            for chosen in combinations(items, n):
+                eq = frozenset(pair for pair, ne in chosen if not ne)
+                ineq = frozenset(pair for pair, ne in chosen if ne)
+                if transforms._equal_children(rank, eq, ineq) is None:
+                    assert chosen not in fits, (rank, chosen)
+                    continue
+                accepted += 1
+                node = fitting_node(rank, eq, ineq)
+                assert satisfies_all(node, eq), (rank, chosen)
+                assert dissatisfies_all(node, ineq), (rank, chosen)
+    assert accepted == 19_662
+
+
+def test_equal_children_is_exact_on_the_random_splits():
+    # every split of every symbol's pairs in the normalized random
+    # grammars, whether disambiguation lists it or not
+    grammars = [*map(random_wtgc, range(60)),
+                *map(random_eq_restricted, range(100)),
+                *map(random_ne_wtgc, range(40))]
+    splits = set()
+    for g in map(normalize, grammars):
+        for name, rank in g.alphabet.symbols():
+            pairs = sorted({pair for p in g.productions
+                            if p.lhs.label == name for pair in p.eq | p.ineq})
+            for ne in product((False, True), repeat=len(pairs)):
+                splits.add((rank, tuple(zip(pairs, ne))))
+    universe = sorted({pair for _, chosen in splits for pair, _ in chosen})
+    bit = {pair: 1 << k for k, pair in enumerate(universe)}
+    masks = {rank: satisfied_masks(rank, universe) for rank in range(3)}
+    rejected = 0
+    for rank, chosen in sorted(splits):
+        eq = frozenset(pair for pair, ne in chosen if not ne)
+        ineq = frozenset(pair for pair, ne in chosen if ne)
+        if transforms._equal_children(rank, eq, ineq) is None:
+            rejected += 1
+            need = sum(bit[pair] for pair in eq)
+            refuse = sum(bit[pair] for pair in ineq)
+            assert all(mask & need != need or mask & refuse
+                       for mask in masks[rank]), (rank, chosen)
+            continue
+        node = fitting_node(rank, eq, ineq)
+        assert satisfies_all(node, eq), (rank, chosen)
+        assert dissatisfies_all(node, ineq), (rank, chosen)
+    assert (len(splits), rejected) == (1491, 1237)
 
 
 def test_constraint_determine(fx2g, fx3):
@@ -357,9 +483,10 @@ def test_constraint_determine_builds_only_reached_productions(fx1):
 def test_constraint_determine_skips_unequal_labels(fx2g):
     # fx2g with a twin of `sigma(q,q) -> q` without its equality and a
     # twin of `gamma(q) -> q` over a leaf: the four twins clash and are
-    # split, and `sigma(q,q) -> q [eq 1=2]` gets no production over a
-    # gamma split and a sigma split, 53 productions of the 61 that every
-    # combination would give
+    # split, so q keeps only `alpha -> q`, and `sigma(q,q) -> q [eq 1=2]`
+    # gets no production over two targets with no root label in common
+    # (q and a split, or a gamma split and a sigma split), 45
+    # productions of the 61 that every combination would give
     g = Wtgc(fx2g.nonterminals, fx2g.alphabet, fx2g.final,
              [*fx2g.productions,
               Production(t("sigma", leaf("q"), leaf("q")), "q", 1),
@@ -367,7 +494,7 @@ def test_constraint_determine_skips_unequal_labels(fx2g):
                          [((1, 1), (1, 1))])],
              fx2g.semiring)
     out = constraint_determine(g)
-    assert (len(out.nonterminals), len(out.productions)) == (5, 53)
+    assert (len(out.nonterminals), len(out.productions)) == (5, 45)
     assert_equivalent(g, out, 7)
 
 
