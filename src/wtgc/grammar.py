@@ -298,14 +298,14 @@ def classify(g: Wtgc) -> Classification:
     return g._classification
 
 
-def equality_classes(pairs, named=()) -> dict | None:
-    """Every position named in `pairs` or `named` mapped to the least
-    position of its class under the congruence closure of the pairs
-    over those positions and their prefixes: with u = v also u.i = v.i
-    (Downey, Sethi & Tarjan, 1980).  None when a class lies below
-    itself, which no finite tree allows (Paterson & Wegman, 1978)."""
-    named = {v for pair in pairs for v in pair}.union(named)
-    least = {v[:k]: v[:k] for v in named for k in range(len(v) + 1)}
+def equality_classes(pairs) -> dict | None:
+    """Every position named in `pairs`, and every prefix of one, mapped
+    to the least position of its class under the congruence closure of
+    the pairs: with u = v also u.i = v.i (Downey, Sethi & Tarjan,
+    1980).  None when a class lies below itself, which no finite tree
+    allows (Paterson & Wegman, 1978)."""
+    least = {v[:k]: v[:k] for pair in pairs for v in pair
+             for k in range(len(v) + 1)}
     kids: dict = {v: {} for v in least}  # per class, a child per step
     for v in filter(None, least):
         kids[v[:-1]][v[-1]] = v
@@ -330,7 +330,7 @@ def equality_classes(pairs, named=()) -> dict | None:
         if ready <= done:
             return None
         done |= ready
-    return {v: find(v) for v in named}
+    return {v: find(v) for v in least}
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,8 @@ from .trees import (
 )
 
 STATE_CAP = 1_000_000
-"""The most values one `saturate` call, or the splits of one symbol in
-`disambiguate`, may reach; one more raises `TransformError`."""
-
-
-def _check_cap(count: int):
-    if count > STATE_CAP:
-        raise TransformError(f"construction exceeded {STATE_CAP} states")
+"""The most values one `saturate` call may find; one more raises
+`TransformError`."""
 
 
 def _mangle(t: Tree) -> str:
@@ -89,7 +84,9 @@ def saturate(rules: dict, fire) -> dict:
         for key, value in derived:
             pool = pools.setdefault(key, {})
             if value not in pool:
-                _check_cap(len(found) + 1)
+                if len(found) >= STATE_CAP:
+                    raise TransformError(
+                        f"construction exceeded {STATE_CAP} states")
                 pool[value] = None
                 found.append((key, value))
 
@@ -147,21 +144,21 @@ def _equal_children(rank: int, eq, ineq) -> tuple | None:
     when no node of a symbol of this rank satisfies every pair of `eq`
     and fails every pair of `ineq`.
 
-    The classes are those of `grammar.equality_classes` over every
-    position of the pairs; a failing pair p=p says that p is absent.
-    A class is present when `eq` names it, or when it holds the root, a
-    child, or the parent or a left sibling of a present position.  No
-    node fits when the closure has no finite tree, or when a present
-    class holds a child beyond the rank or both positions of a pair of
-    `ineq`.  Otherwise one node fits: give each present class a fresh
+    The classes are those of `grammar.equality_classes` over `eq` and a
+    pair v=v, which merges nothing, for each position v of `ineq`; a
+    failing pair p=p says that p is absent.  A class is present when
+    `eq` names it, or when it holds the root, a child, or the parent or
+    a left sibling of a present position.  No node fits when the
+    closure has no finite tree, or when a present class holds a child
+    beyond the rank or both positions of a pair of `ineq`.  Otherwise
+    one node fits: give each present class a fresh
     symbol whose rank is its last present step, the root the given
     symbol, and every other child a fresh leaf.  Its subtrees at two
     positions are equal exactly when both lie in one present class.
     """
     if not eq and not ineq:
         return ()
-    least = equality_classes(eq, [v[:k] for pair in eq | ineq
-                                  for v in pair for k in range(len(v) + 1)])
+    least = equality_classes(eq | {(v, v) for pair in ineq for v in pair})
     if least is None:
         return None
     steps = {(least[v[:-1]], v[-1]): least[v] for v in least if v}
@@ -518,7 +515,6 @@ def disambiguate(g: Wtgc, hom: SemiringHom) -> Wtgc:
             grown += [(eq, ineq | {pair}) for eq, ineq in splits]
             splits = {split: links for split in grown if (
                 links := _equal_children(rank, *split)) is not None}
-            _check_cap(len(splits))
         for (eq, ineq), links in splits.items():
             terms[(name, eq, ineq)] = links, [
                 [(hom(p.weight),

@@ -198,20 +198,24 @@ def test_classify_constraint_determined(fx2g):
 
 
 def test_equality_classes(fx1, fx4):
+    # every named position and every prefix of one maps to the least
+    # position of its class
     pf = _prod(fx4, "f(q")
-    assert equality_classes(pf.eq) == {(1,): (1,), (2, 2): (1,)}
+    assert equality_classes(pf.eq) == {
+        (): (), (1,): (1,), (2,): (2,), (2, 2): (1,)}
     p1 = _prod(fx4, "a ->")
     assert equality_classes(p1.eq) == {}
     p3 = _prod(fx1, "sigma")
-    assert equality_classes(p3.eq) == {(1, 1): (1, 1), (2,): (1, 1)}
-    # 1=3 only through 2; every position maps to the least of its class
-    chain = {(1,): (1,), (2,): (1,), (3,): (1,)}
+    assert equality_classes(p3.eq) == {
+        (): (), (1,): (1,), (1, 1): (1, 1), (2,): (1, 1)}
+    # 1=3 only through 2
+    chain = {(): (), (1,): (1,), (2,): (1,), (3,): (1,)}
     assert equality_classes([((1,), (2,)), ((2,), (3,))]) == chain
     assert equality_classes([((2,), (3,)), ((1,), (2,))]) == chain
     assert equality_classes([((3,), (2,)), ((2,), (1,))]) == chain
     # classes stay apart, and a pair p=p names p
     assert equality_classes([((1,), (3,)), ((2,), (2,)), ((4,), (2,))]) == {
-        (1,): (1,), (3,): (1,), (2,): (2,), (4,): (2,)}
+        (): (), (1,): (1,), (3,): (1,), (2,): (2,), (4,): (2,)}
 
 
 def test_eq_restriction_fx4(fx4):

@@ -340,8 +340,8 @@ def fitting_node(rank, eq, ineq):
     """The node of `_equal_children`'s docstring for a set it accepts:
     the root `root`, a symbol `c<class>` for every other present class,
     and the leaf `x` wherever no pair looks."""
-    least = equality_classes(eq, [v[:k] for pair in eq | ineq for v in pair
-                                  for k in range(len(v) + 1)] + [()])
+    least = equality_classes(eq | {(v, v) for pair in ineq for v in pair}
+                             | {((), ())})
     root = least[()]
     present = {root} | {least[v] for pair in eq for v in pair}
     while True:  # add the parents and left siblings of present classes
