@@ -109,7 +109,7 @@ def cmd_derivs(args, g):
     for q in targets:
         for d in semantics.derivations(g, t, q):
             steps = " ".join(f"({g.prod_id(p)} @ {pos_str(w)})"
-                             for p, w in d.steps)
+                             for p, w in semantics.absolute_steps(d))
             print(f"{q}: {steps}")
     return 0
 

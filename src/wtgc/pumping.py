@@ -3,10 +3,10 @@
 In an eq-restricted grammar the subtrees forced equal by constraints are
 all held by the sink, so replacing a derived subtree means replacing its
 copies along the way.  `substitute_derivation` performs exactly that
-replacement, without recursion and at absolute positions: one walk down
-the production steps from the root to the substitution position, and
-one walk back up that splices slices of the base's step list, the
-donor's steps and the linked copies' sink derivations into the new one.
+replacement, without recursion: one walk down the production steps from
+the root to the substitution position, and one walk back up that splices
+blocks of the base's steps, the donor's steps and the linked copies'
+sink derivations, each moved as it is but for its root's slot.
 `pump` uses it to grow any sufficiently tall accepted tree into
 arbitrarily many taller ones, after the standard preprocessing
 (`ensure_nonbot_child` plus zero-derivation elimination).
@@ -27,6 +27,7 @@ from .grammar import (
 )
 from .semantics import (
     Derivation,
+    absolute_steps,
     derivation_weight,
     derivations,
     incorporated,
@@ -59,24 +60,29 @@ def _sink_table(g: Wtgc, sink: str) -> dict:
     return {p.lhs.label: p for p in g.productions if p.target == sink}
 
 
-def _sink_steps(by_symbol: dict, t: Tree, base: Position = ()) -> tuple:
-    """The unique derivation to the sink of t, placed at position `base`,
-    as a left-most step list; `by_symbol` is the grammar's `_sink_table`."""
+def _sink_steps(by_symbol: dict, t: Tree) -> tuple:
+    """The unique derivation of t to the sink as a left-most step list;
+    `by_symbol` is the grammar's `_sink_table`."""
     # a right-to-left pre-order, reversed, is the left-to-right post-order,
     # which is the left-most derivation order
     walk = []
-    stack = [(t, base)]
+    stack = [(t, ())]
     while stack:
-        node, w = stack.pop()
-        walk.append((node.label, w))
+        node, v = stack.pop()
         kids = node.children
-        if kids:
-            stack.extend(zip(kids, [w + (i,)
-                                    for i in range(1, len(kids) + 1)]))
+        walk.append((node.label, v, len(kids)))
+        stack.extend(zip(kids, [(i,) for i in range(1, len(kids) + 1)]))
     try:
-        return tuple((by_symbol[label], w) for label, w in reversed(walk))
+        return tuple((by_symbol[label], v, n)
+                     for label, v, n in reversed(walk))
     except KeyError as missing:
         raise PumpError(f"no sink production for symbol {missing}") from None
+
+
+def _moved(block: tuple, v: Position) -> tuple:
+    """A block of steps with its root step rewriting slot v."""
+    p, _, n = block[-1]
+    return block[:-1] + ((p, v, n),)
 
 
 def substitute_derivation(site: SubstitutionSite, *,
@@ -90,12 +96,11 @@ def substitute_derivation(site: SubstitutionSite, *,
     below a variable position of a step form one contiguous block that
     ends at the step for that position, and the blocks of one step's
     variables follow each other left to right and end just before the
-    step itself.  So the new step list is spliced from slices of the
-    base's steps, the donor's steps prefixed once, and the sink steps of
-    the linked copies, all at absolute positions.  A base or a donor
-    that does not replay on its tree raises `PumpError`;
-    `replayed=True` says that the caller has checked that both do, and
-    skips the replays.
+    step itself.  So the new step list is spliced from blocks of the
+    base's steps, the donor's steps and the sink steps of the linked
+    copies, each with its root step in its slot.  A base or a donor that
+    does not replay on its tree raises `PumpError`; `replayed=True` says
+    that the caller has checked that both do, and skips the replays.
     """
     g = site.grammar
     er = eq_restriction(g)
@@ -103,10 +108,10 @@ def substitute_derivation(site: SubstitutionSite, *,
         raise PumpError("substitution needs an eq-restricted grammar")
     sink = er.sink
     base, donor, at = site.base_derivation, site.donor_derivation, site.at
-    steps = base.steps
+    steps, spelled = base.steps, absolute_steps(base)
 
     subtree(base.input, at)  # raises on a position outside the tree
-    index = {w: i for i, (_, w) in enumerate(steps)}
+    index = {w: i for i, (_, w) in enumerate(spelled)}
     found = index.get(at)
     at_target = None if found is None else steps[found][0].target
     if at_target is None or at_target != donor.target:
@@ -123,7 +128,7 @@ def substitute_derivation(site: SubstitutionSite, *,
     levels = []
     node, u, end, start = site.base_tree, (), len(steps) - 1, 0
     while u != at:
-        p, w = steps[end]
+        p, w = spelled[end]
         if w != u:
             raise PumpError("derivation does not end at the root")
         dec = g.decompose(p)
@@ -156,19 +161,20 @@ def substitute_derivation(site: SubstitutionSite, *,
 
     # Back up: the new subtree of each level, and the blocks left and
     # right of variable j; untouched blocks are slices of the base's
-    # steps, linked copies are derived through the sink in place.
+    # steps, linked copies are derived through the sink.
     new = site.donor_tree
     by_symbol = _sink_table(g, sink)
     lefts, rights = [], []
     for node, u, end, p, dec, j, start, ends in reversed(levels):
         linked = _linked_positions(g, er, p, j)
-        plugged, blocks = {}, []
+        plugged, blocks, copy = {}, [], None
         for i, (state, v) in enumerate(zip(dec.states, dec.positions)):
             if i == j:
                 plugged[v] = new
             elif state == sink and v in linked:
                 plugged[v] = new
-                blocks.append(_sink_steps(by_symbol, new, u + v))
+                copy = copy or _sink_steps(by_symbol, new)
+                blocks.append(_moved(copy, v))
             else:
                 blocks.append(steps[start:ends[i] + 1])
             start = ends[i] + 1
@@ -177,7 +183,7 @@ def substitute_derivation(site: SubstitutionSite, *,
         rights.append(steps[end:end + 1])
         new = replace(node, plugged)
     lefts.reverse()
-    placed = tuple((p, at + w) for p, w in donor.steps)
+    placed = _moved(donor.steps, steps[found][1])
     new_steps = tuple(chain(*chain.from_iterable(lefts), placed, *rights))
     return new, Derivation(new_steps, new, base.target)
 
@@ -250,28 +256,24 @@ def pump(g: Wtgc, t: Tree, d: Derivation, count: int) -> list:
 
 
 def _pump_once(g: Wtgc, sink: str, t: Tree, d: Derivation):
-    targets = {pos: p.target for p, pos in d.steps}
+    targets = {pos: p.target for p, pos in absolute_steps(d)}
     deep = [pos for pos, q in targets.items() if q != sink]
     if not deep:
         raise PumpError("internal: no non-sink step position")
     star = min(deep, key=lambda pos: (-len(pos), pos))
-    chain = [star[:i] for i in range(len(star) + 1)]
-    chain = [pos for pos in chain if pos in targets and targets[pos] != sink]
     seen: dict[str, Position] = {}
-    pair = None
-    for pos in chain:
-        q = targets[pos]
+    for pos in (star[:i] for i in range(len(star) + 1)):
+        q = targets.get(pos, sink)
         if q in seen:
-            pair = (seen[q], pos)
             break
-        seen[q] = pos
-    if pair is None:
+        if q != sink:
+            seen[q] = pos
+    else:
         raise PumpError("internal: no repeated nonterminal above the "
                         "deepest non-sink position")
-    shallow, deep_pos = pair
-    donor_t = subtree(t, shallow)
-    donor_d = incorporated(d, shallow)
-    site = SubstitutionSite(g, t, d, donor_t, donor_d, deep_pos)
+    shallow = seen[q]
+    site = SubstitutionSite(g, t, d, subtree(t, shallow),
+                            incorporated(d, shallow), pos)
     # pump replayed the first base, and a substitution into a base that
     # replays gives one that replays
     new_t, new_d = substitute_derivation(site, replayed=True)

@@ -30,15 +30,16 @@ same compiled matcher and ids.  Counting walks the (nonterminal, id)
 pairs depth first and pushes each pair once: its options are computed
 when it is pushed and memoized with their counts, productions and
 children's keys and relative positions.  A derivation is then spelled
-out with one stack entry per step, at absolute positions, so one
-derivation is quadratic in depth.  Over a zero-sum free, zero-divisor
+out with one stack entry per step, each relative to its parent step, so
+one derivation is linear in size and every sub-derivation is one block;
+only `absolute_steps` spells positions.  Over a zero-sum free, zero-divisor
 free semiring a zero weight already rules a derivation out.  Summing
 derivation weights must agree with the weight map, which the test suite
 uses as the master oracle.
 
 `replay_derivation` checks a derivation without the weight map and
-without building trees: the sentential form is the input tree plus the
-positions rewritten so far, each read as a leaf of its nonterminal.
+without building trees: each step must match the input where it sits
+and absorb, as its lhs's nonterminal leaves, the blocks just before it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .trees import (
     dissatisfies_all,
     enumerate_trees,
     leaf,
-    leftmost_key,
     satisfies_all,
     subtree,
     subtree_or_none,
@@ -63,9 +63,12 @@ from .trees import (
 
 @dataclass(frozen=True)
 class Derivation:
-    """A sequence of (production, position) steps for a fixed input tree.
+    """Left-most (production, slot, children) steps for a fixed input tree.
 
-    The input tree is part of the identity: constraints are checked on
+    A step's slot is the position, in its parent step's lhs, of the leaf
+    it rewrites (`()` at the root); `children` counts the blocks of steps,
+    one per nonterminal leaf of the lhs, that end just before it.  The
+    input tree is part of the identity: constraints are checked on
     subtrees of the original input, so the same step list is meaningless
     for any other tree.
     """
@@ -503,23 +506,23 @@ class WeightMap:
         stack = [((q, c), (), index)]
         push = stack.append
         while stack:
-            key, base, i = stack.pop()
+            key, pos, i = stack.pop()
             options = alts[key][1]
             if not i:
                 _, p, children = options[0]
-                out.append((p, base))
-                for sub, pos in children:
-                    push((sub, base + pos, 0))
+                out.append((p, pos, len(children)))
+                for sub, slot in children:
+                    push((sub, slot, 0))
                 continue
             for n, p, children in options:
                 if i < n:
                     break
                 i -= n
-            out.append((p, base))
+            out.append((p, pos, len(children)))
             later = []
-            for sub, pos in reversed(children):
+            for sub, slot in reversed(children):
                 i, r = divmod(i, alts[sub][0])
-                later.append((sub, base + pos, r))
+                later.append((sub, slot, r))
             stack.extend(reversed(later))
         out.reverse()
         return tuple(out)
@@ -543,68 +546,61 @@ def derivation_weight(g: Wtgc, d: Derivation):
     """Product of the step weights in the grammar's semiring."""
     s = g.semiring
     total = s.one
-    for p, _ in d.steps:
+    for p, _, _ in d.steps:
         g.prod_id(p)  # raises on foreign productions
         total = s.mul(total, p.weight)
     return total
 
 
+def absolute_steps(d: Derivation) -> tuple:
+    """The steps of d as (production, position in the input) pairs.
+
+    Read backwards, the steps walk the derivation tree in pre-order,
+    right to left, so each step's parent is the latest step read that
+    still has a child block to fill; `open_` holds the parent's position
+    once per such block."""
+    out, open_ = [], []
+    for p, v, n in reversed(d.steps):
+        w = open_.pop() + v if open_ else v
+        out.append((p, w))
+        open_ += [w] * n
+    return tuple(reversed(out))
+
+
 def replay_derivation(g: Wtgc, d: Derivation) -> bool:
     """Re-run a derivation step by step against its input tree.
 
-    Checks the sentential-form rewriting, the constraint relativization
-    to the original input, the left-most step order, and the final
-    nonterminal.  This is deliberately independent of `derivations` and
-    of the weight map.
-
-    No tree is built: the sentential form is the input plus `done`,
-    which maps each rewritten position to its nonterminal.  The order
-    check runs before the match, so every earlier step has a smaller
-    left-most key than w, while every proper prefix of w has a larger
-    one.  Hence no prefix of w has been rewritten, the form's node at w
-    is the input's, and below w a position in `done` reads as a leaf of
-    its nonterminal.  A match visits every form node below w, so the
-    positions in `done` stay pairwise incomparable.
+    Each step's lhs must match the input at the step's position, with
+    the constraints relativized to the original input, and its children
+    must be the blocks just before it: one per nonterminal leaf of the
+    lhs, left to right, each in that leaf's slot and derived to its
+    nonterminal.  So the steps are in left-most order, and in the end one
+    block derives the whole input to the target.  This is deliberately
+    independent of `derivations` and of the weight map.
     """
     t = d.input
-    done: dict = {}
-    previous = None
-    for p, w in d.steps:
+    blocks: list = []  # (slot, nonterminal) of each block not yet absorbed
+    for (p, w), (_, v, n) in zip(absolute_steps(d), d.steps):
         try:
             g.prod_id(p)
         except GrammarError:
             return False
-        if previous is not None and leftmost_key(w) <= leftmost_key(previous):
+        node, dec = subtree_or_none(t, w), g.decompose(p)
+        kids = blocks[len(blocks) - n:] if n <= len(blocks) else None
+        if node is None or kids != list(zip(dec.positions, dec.states)):
             return False
-        previous = w
-        checked = subtree_or_none(t, w)
-        if checked is None:
-            return False
-        absorbed = []
-        stack = [(p.lhs, checked, w)]
-        while stack:
-            pattern, node, v = stack.pop()
-            q = done.get(v)
-            if q is not None:
-                if pattern.children or pattern.label != q:
-                    return False
-                absorbed.append(v)
-                continue
-            kids = pattern.children
-            if (pattern.label != node.label
-                    or len(kids) != len(node.children)):
+        for u, label, arity in (((), p.lhs.label, len(p.lhs.children)),
+                                *dec.checks):
+            below = subtree_or_none(node, u)
+            if (below is None or below.label != label
+                    or len(below.children) != arity):
                 return False
-            stack.extend(zip(kids, node.children,
-                             [v + (i,) for i in range(1, len(kids) + 1)]))
-        if not satisfies_all(checked, p.eq):
+        if not (satisfies_all(node, p.eq)
+                and dissatisfies_all(node, p.ineq)):
             return False
-        if not dissatisfies_all(checked, p.ineq):
-            return False
-        for v in absorbed:
-            del done[v]
-        done[w] = p.target
-    if done:
-        return done == {(): d.target}
+        blocks[len(blocks) - n:] = [(v, p.target)]
+    if d.steps:
+        return blocks == [((), d.target)]
     return t == leaf(d.target)
 
 
@@ -620,13 +616,14 @@ def evaluate(g: Wtgc, t: Tree):
 
 def incorporated(d: Derivation, w: Position) -> Derivation:
     """The derivation for the subtree at w hidden inside d: the steps at
-    or below w, with the prefix stripped."""
+    or below w, the root step of each of their blocks placed relative to
+    w."""
     sub = subtree(d.input, w)
-    n = len(w)
-    steps = tuple((p, pos[n:]) for p, pos in d.steps if pos[:n] == w)
-    target = None
-    if steps and steps[-1][1] == ():
-        target = steps[-1][0].target
+    k = len(w)
+    steps = tuple((p, v if len(u) - len(v) >= k else u[k:], n)
+                  for (p, u), (_, v, n) in zip(absolute_steps(d), d.steps)
+                  if u[:k] == w)
+    target = steps[-1][0].target if steps and not steps[-1][1] else None
     return Derivation(steps, sub, target)
 
 

@@ -61,6 +61,7 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None,
         bad = _TOKENS_RE.sub("", text).split()[0][0]
         raise ParseError(f"unexpected character {bad!r}", line)
     tokens.append("")  # end marker; no token is empty now
+    ranks = {} if alphabet is None else alphabet._ranks
     shared: dict = {}  # (label, ids of the shared children) -> its Tree
     stack: list = []   # (label, children so far, its offset) per open node
     pos, char, view = 0, 0, None  # char: offset in the tokens joined by " "
@@ -82,8 +83,9 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None,
             key = (label, tuple(map(id, children)))
             node = shared.get(key)
             if node is None:
-                if alphabet is not None and label in alphabet:
-                    if alphabet.rank(label) != len(children):
+                rank = ranks.get(label)
+                if rank is not None:
+                    if rank != len(children):
                         raise ParseError(f"arity mismatch at {label!r}", line)
                 elif label in nonterminals:
                     if children:
@@ -122,7 +124,7 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None,
             label, children, start = stack.pop()
 
 
-_PROD_RE = re.compile(r"^(?P<lhs>.*?)->(?P<rest>.*)$", re.S)
+_COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")
 _BLOCK_RE = re.compile(r"\[\s*(eq|ne)\s+([^]]*)\]")
 
 
@@ -145,10 +147,13 @@ def _parse_pairs(body: str, line: int, position):
 
 def content_lines(text: str):
     """(line number, content) for every line that holds more than a
-    comment: a comment runs from the line's first `#` to its end, and
-    the content is the rest, stripped."""
+    comment: a comment runs from a `#` at the line's start or after
+    whitespace (not inside a name such as `q#p1`) to the line's end,
+    and the content is the rest, stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = _COMMENT_RE.split(raw, 1)[0]
+        content = raw.strip()
         if content:
             yield lineno, content
 
@@ -217,24 +222,29 @@ def parse_grammar(text: str) -> Wtgc:
             raise ParseError(str(exc), lineno) from None
 
     productions = []
-    position = cache(parse_pos)  # each distinct position text parsed once
+    # each distinct position, lhs and weight text is parsed once
+    position, terms, weights = cache(parse_pos), {}, {}
     for body, lineno in prod_lines:
-        m = _PROD_RE.match(body)
-        if not m:
+        lhs_text, arrow, rest = body.partition("->")
+        if not arrow:
             raise ParseError("production needs `->`", lineno)
-        lhs = parse_term(m.group("lhs").strip(), alphabet, declared,
-                         line=lineno)
-        rest = m.group("rest").strip()
-        if "@" not in rest:
+        lhs = terms.get(lhs_text)
+        if lhs is None:
+            lhs = terms[lhs_text] = parse_term(lhs_text.strip(), alphabet,
+                                               declared, line=lineno)
+        head, at, weight_text = rest.rpartition("@")
+        if not at:
             raise ParseError("production needs a weight (`@ w`)", lineno)
-        head, weight_text = rest.rsplit("@", 1)
-        try:
-            weight = semiring.parse(weight_text.strip())
-        except Exception as exc:
-            raise ParseError(str(exc), lineno) from None
+        weight = weights.get(weight_text)
+        if weight is None:
+            try:
+                weight = weights[weight_text] = semiring.parse(
+                    weight_text.strip())
+            except Exception as exc:
+                raise ParseError(str(exc), lineno) from None
         eq, ineq = [], []
-        blocks = _BLOCK_RE.findall(head)
-        target_text = _BLOCK_RE.sub("", head).strip()
+        blocks = _BLOCK_RE.findall(head) if "[" in head else ()
+        target_text = (_BLOCK_RE.sub("", head) if blocks else head).strip()
         if not NAME_RE.fullmatch(target_text):
             raise ParseError(f"bad target {target_text!r}", lineno)
         for tag, inner in blocks:
@@ -273,16 +283,16 @@ def parse_hom(text: str, source: RankedAlphabet | None = None) -> TreeHom:
                                  lineno)
             saw_header = True
             continue
-        m = _PROD_RE.match(content)
-        if not m:
+        name, arrow, rhs = content.partition("->")
+        if not arrow:
             raise ParseError("homomorphism rule needs `->`", lineno)
-        name = m.group("lhs").strip()
+        name = name.strip()
         if not NAME_RE.fullmatch(name) or is_variable(name):
             raise ParseError(f"bad source symbol {name!r}", lineno)
         if name in rules:
             raise ParseError(f"duplicate rule for {name!r}", lineno)
-        rules[name] = parse_term(m.group("rest").strip(),
-                                 allow_variables=True, line=lineno)
+        rules[name] = parse_term(rhs.strip(), allow_variables=True,
+                                 line=lineno)
     if not saw_header:
         raise ParseError("homomorphism files start with `hom`")
     # a source symbol's rank is its highest variable index

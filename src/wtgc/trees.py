@@ -276,15 +276,6 @@ def dissatisfies_all(t: Tree, constraints) -> bool:
     return all(not satisfies(t, c) for c in constraints)
 
 
-_POS_INF = float("inf")
-
-
-def leftmost_key(w: Position):
-    """Sort key realizing the derivation order: lexicographic with
-    prefixes larger, so the root is the largest position."""
-    return w + (_POS_INF,)
-
-
 def compositions(total: int, parts: int):
     """All ways to write total as an ordered sum of `parts` positive ints."""
     if parts == 0:

@@ -19,6 +19,13 @@ def load_hom(name, source):
     return parse_hom((FIXTURES / f"{name}.hom").read_text(), source)
 
 
+def leftmost_key(w):
+    """Sort key realizing the left-most derivation order on absolute
+    positions: lexicographic with prefixes larger, so the root is the
+    largest position."""
+    return w + (float("inf"),)
+
+
 def t(label, *children):
     return Tree(label, children)
 

@@ -8,7 +8,7 @@ from wtgc import cli, transforms
 from wtgc.cli import main
 from wtgc.grammar import Wtgc
 from wtgc.semantics import evaluate
-from wtgc.syntax import parse_grammar
+from wtgc.syntax import parse_grammar, serialize_grammar
 from wtgc.trees import leaf
 
 
@@ -256,6 +256,21 @@ def test_transform_relabel_map_file(capsys, tmp_path):
                        "--map-file", str(mapping), "--oracle-size", "6")
     assert code == 0
     assert "alphabet a:0 g:2" in out
+
+
+def test_relabel_map_file_names_symbols_holding_hash(capsys, tmp_path):
+    # relabel fx4 to symbols holding `#` and back through a map file
+    fx4 = parse_grammar((FIXTURES / "fx4.wtg").read_text())
+    hashed = tmp_path / "hashed.wtg"
+    hashed.write_text(serialize_grammar(transforms.relabel(
+        fx4, {"a": "a#0", "f": "f#2", "g": "g#2"})))
+    mapping = tmp_path / "map.txt"
+    mapping.write_text("a#0=a\nf#2 = f  # back to fx4\n# g#2=x\ng#2=g\n")
+    code, out, _ = run(capsys, "transform", "relabel", "--grammar",
+                       str(hashed), "--map-file", str(mapping),
+                       "--oracle-size", "6")
+    assert code == 0
+    assert parse_grammar(out) == fx4
 
 
 def test_decide_rejects_out_of_class(capsys):

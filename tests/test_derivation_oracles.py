@@ -3,15 +3,19 @@
 `replay_by_rebuilding` rebuilds the sentential form as a tree at every
 step, and `substitute_by_recursion` re-filters and re-prefixes the steps
 at every level of the derivation.  Both are the plain readings of the
-definitions; the library's `replay_derivation` and
-`substitute_derivation` must agree with them on every input below.
+definitions, over steps at absolute positions as `absolute_steps` spells
+them; the library's `replay_derivation` and `substitute_derivation` must
+agree with them on every input below.
 """
+
+import dataclasses
 
 import random
 
 import pytest
 
-from conftest import load_grammar, random_eq_restricted, random_wtgc
+from conftest import (leftmost_key, load_grammar, random_eq_restricted,
+                      random_wtgc)
 from wtgc.errors import GrammarError, PumpError, WtgcError
 from wtgc.grammar import eq_restriction
 from wtgc.pumping import (
@@ -24,6 +28,7 @@ from wtgc.pumping import (
 )
 from wtgc.semantics import (
     Derivation,
+    absolute_steps,
     derivations,
     incorporated,
     replay_derivation,
@@ -33,7 +38,6 @@ from wtgc.trees import (
     dissatisfies_all,
     enumerate_trees,
     leaf,
-    leftmost_key,
     replace,
     satisfies_all,
     subtree,
@@ -50,7 +54,7 @@ def replay_by_rebuilding(g, d):
     t = d.input
     form = t
     previous = None
-    for p, w in d.steps:
+    for p, w in absolute_steps(d):
         try:
             g.prod_id(p)
         except GrammarError:
@@ -74,7 +78,8 @@ def replay_by_rebuilding(g, d):
 
 def substitute_by_recursion(site):
     """`substitute_derivation` as one recursive call per level, each
-    filtering and re-prefixing the steps below it."""
+    filtering and re-prefixing the steps below it; the derivation it
+    returns holds (production, absolute position) steps."""
     g = site.grammar
     er = eq_restriction(g)
     if er is None:
@@ -91,7 +96,7 @@ def substitute_by_recursion(site):
 
     def rec(t, steps, w):
         if not w:
-            return site.donor_tree, donor.steps
+            return site.donor_tree, absolute_steps(donor)
         p, root_pos = steps[-1]
         if root_pos != ():
             raise PumpError("derivation does not end at the root")
@@ -121,7 +126,8 @@ def substitute_by_recursion(site):
                 sub, block = new_subtree, new_block
             elif dec.states[i] == sink and vpos in linked:
                 sub = new_subtree
-                block = _sink_steps(_sink_table(g, sink), sub)
+                block = absolute_steps(Derivation(
+                    _sink_steps(_sink_table(g, sink), sub), sub, sink))
             else:
                 sub, block = subtrees[i], blocks[i]
             out_subtrees.append(sub)
@@ -130,7 +136,7 @@ def substitute_by_recursion(site):
         new_tree = replace(t, dict(zip(dec.positions, out_subtrees)))
         return new_tree, tuple(out_steps)
 
-    new_tree, new_steps = rec(site.base_tree, base.steps, site.at)
+    new_tree, new_steps = rec(site.base_tree, absolute_steps(base), site.at)
     return new_tree, Derivation(new_steps, new_tree, base.target)
 
 
@@ -152,7 +158,7 @@ def mutations(g, d, rng):
 
     out = [d]
     k = rng.randrange(len(steps))
-    p, w = steps[k]
+    p, w, n = steps[k]
     out.append(variant(steps[:k] + steps[k + 1:]))
     if len(steps) > 1:
         i = rng.randrange(len(steps) - 1)
@@ -161,8 +167,8 @@ def mutations(g, d, rng):
     others = sorted((x for x in g.productions if x != p), key=g.prod_id)
     if others:
         other = rng.choice(others)
-        out.append(variant(steps[:k] + ((other, w),) + steps[k + 1:]))
-    out.append(variant(steps[:k] + ((p, w + (1,)),) + steps[k + 1:]))
+        out.append(variant(steps[:k] + ((other, w, n),) + steps[k + 1:]))
+    out.append(variant(steps[:k] + ((p, w + (1,), n),) + steps[k + 1:]))
     out.append(variant(steps[:k + 1] + steps[k:]))
     wrong = sorted(q for q in g.nonterminals if q != d.target)
     if wrong:
@@ -218,6 +224,13 @@ def spread_of_donors(g, size):
     return list(donors.values())
 
 
+def substitute_spelled(site):
+    """`substitute_derivation` with its steps spelled by `absolute_steps`,
+    as `substitute_by_recursion` returns them."""
+    tree, d = substitute_derivation(site)
+    return tree, dataclasses.replace(d, steps=absolute_steps(d))
+
+
 def outcome(fn, site):
     try:
         tree, d = fn(site)
@@ -239,7 +252,7 @@ def test_substitution_matches_the_recursive_reference(name, g, size):
                     for donor_tree, donor in donors:
                         site = SubstitutionSite(g, base_tree, base,
                                                 donor_tree, donor, at)
-                        got = outcome(substitute_derivation, site)
+                        got = outcome(substitute_spelled, site)
                         assert got == outcome(substitute_by_recursion,
                                               site), (name, site)
                         substituted += not isinstance(got[0], type)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import t
+from conftest import leftmost_key, t
 from wtgc.errors import InvalidPositionError, PumpError
 from wtgc.grammar import Production, Wtgc, eq_restriction
 from wtgc.pumping import (
@@ -18,6 +18,7 @@ from wtgc.pumping import (
 )
 from wtgc.semantics import (
     Derivation,
+    absolute_steps,
     derivation_weight,
     derivations,
     evaluate,
@@ -31,7 +32,6 @@ from wtgc.trees import (
     Tree,
     enumerate_trees,
     leaf,
-    leftmost_key,
     subtree,
     term_str,
     walk,
@@ -60,7 +60,7 @@ def test_substitution_reproduces_figure_tree(fx4, fx4_site):
 
 def test_substitution_step_list(fx4, fx4_site):
     _, new_d = substitute_derivation(fx4_site)
-    got = [(fx4.prod_id(p), w) for p, w in new_d.steps]
+    got = [(fx4.prod_id(p), w) for p, w in absolute_steps(new_d)]
     # canonical ids: p1 = a->bot, p2 = a->q, p4 = f(q,f(q,bot))->q,
     # p5 = g(bot,bot)->bot, p6 = g(q,bot)->q
     assert got == [
@@ -102,7 +102,7 @@ def test_substitution_rejects_target_mismatch(fx4, fx4_site):
 def test_substitution_rejects_malformed_bases(fx4, fx4_site):
     steps = fx4_site.base_derivation.steps
     root = steps[-1]
-    below_q = next(p for p, _ in steps if p.target == "q" and not p.eq)
+    below_q = next(p for p, _, _ in steps if p.target == "q" and not p.eq)
 
     def site(new_steps, at):
         d = Derivation(new_steps, fx4_site.base_tree, "q")
@@ -113,9 +113,11 @@ def test_substitution_rejects_malformed_bases(fx4, fx4_site):
     with pytest.raises(PumpError, match="does not end at the root"):
         substitute_derivation(site(steps[:-1], (1, 1)))
     # a step at 2, which the root's lhs f(q,f(q,bot)) covers
+    covered = site(steps[:-1] + ((below_q, (2,), 0), (root[0], (), 4)), (2,))
+    assert absolute_steps(covered.base_derivation)[-2:] == (
+        (below_q, (2,)), (root[0], ()))
     with pytest.raises(PumpError, match="inside a left-hand side"):
-        substitute_derivation(site(steps[:-1] + ((below_q, (2,)), root),
-                                   (2,)))
+        substitute_derivation(covered)
     with pytest.raises(InvalidPositionError, match="position 3 not in"):
         substitute_derivation(site(steps, (3,)))
 
@@ -127,7 +129,8 @@ def test_substitution_rejects_a_base_that_does_not_replay(fx4):
     base = parse_term("g(a,a)", fx4.alphabet)
     prods = {fx4.spellings[i]: p for i, p in enumerate(fx4.productions)}
     to_q, root = prods["a -> q @ 1"], prods["g(q,bot) -> q [eq 1=2] @ 1"]
-    d = Derivation(((to_q, (1,)), (to_q, (2,)), (root, ())), base, "q")
+    d = Derivation(((to_q, (1,), 0), (to_q, (2,), 0), (root, (), 2)), base,
+                   "q")
     assert not replay_derivation(fx4, d)
     donor = parse_term("g(a,a)", fx4.alphabet)
     (dp,) = derivations(fx4, donor, "q")
@@ -152,7 +155,7 @@ def test_substitution_rejects_a_donor_that_does_not_replay(fx4, fx4_site):
     # child to q where g(q,bot) needs bot
     prods = {fx4.spellings[i]: p for i, p in enumerate(fx4.productions)}
     to_q, root = prods["a -> q @ 1"], prods["g(q,bot) -> q [eq 1=2] @ 1"]
-    d = Derivation(((to_q, (1,)), (to_q, (2,)), (root, ())),
+    d = Derivation(((to_q, (1,), 0), (to_q, (2,), 0), (root, (), 2)),
                    fx4_site.donor_tree, "q")
     site = replace(fx4_site, donor_derivation=d)
     with pytest.raises(PumpError, match="donor derivation does not"):
@@ -261,7 +264,8 @@ def test_sink_steps_are_the_leftmost_order(fx4_prepared):
     (d,) = derivations(g, base, q)
     for tree in [base] + [tree for tree, _ in pump(g, base, d, 3)]:
         ordered = sorted((w for w, _ in walk(tree)), key=leftmost_key)
-        assert _sink_steps(_sink_table(g, sink), tree) == tuple(
+        steps = _sink_steps(_sink_table(g, sink), tree)
+        assert absolute_steps(Derivation(steps, tree, sink)) == tuple(
             (by_symbol[subtree(tree, w).label], w) for w in ordered)
 
 

@@ -1,16 +1,21 @@
+import os
+import subprocess
 import sys
 import threading
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from conftest import (gammas, load_grammar, random_eq_restricted,
-                      random_wtgc, t)
+import wtgc
+from conftest import (FIXTURES, gammas, leftmost_key, load_grammar,
+                      random_eq_restricted, random_wtgc, t)
 from wtgc.decision import enumerate_support
 from wtgc.errors import GrammarError
 from wtgc.grammar import Production, Wtgc
 from wtgc.semantics import (
     Derivation,
+    absolute_steps,
     check_unambiguous_upto,
     derivation_weight,
     derivations,
@@ -24,7 +29,7 @@ from wtgc.pumping import separation_family
 from wtgc.semiring import NATURAL, NEG_INF
 from wtgc.syntax import parse_term
 from wtgc.trees import RankedAlphabet, Tree, dissatisfies_all, \
-    enumerate_trees, leaf, leftmost_key, satisfies_all, subtree, term_str
+    enumerate_trees, leaf, satisfies_all, subtree, term_str
 
 ALPHA = leaf("alpha")
 EX1_TREE = t("sigma", gammas(2, ALPHA), gammas(1, ALPHA))
@@ -41,7 +46,7 @@ def test_example1_unique_leftmost_derivation(fx1):
     ds = derivations(fx1, EX1_TREE, "q'")
     assert len(ds) == 1
     d = ds[0]
-    assert [(fx1.prod_id(p), w) for p, w in d.steps] == [
+    assert [(fx1.prod_id(p), w) for p, w in absolute_steps(d)] == [
         ("p1", (1, 1, 1)),
         ("p2", (1, 1)),
         ("p1", (2, 1)),
@@ -74,7 +79,7 @@ def test_derivation_weight_fx3(fx3):
 def test_derivation_weight_rejects_foreign_production(fx3):
     foreign = Production(leaf("alpha"), "q", 7)
     with pytest.raises(GrammarError):
-        derivation_weight(fx3, Derivation(((foreign, ()),), ALPHA, "q"))
+        derivation_weight(fx3, Derivation(((foreign, (), 0),), ALPHA, "q"))
 
 
 def test_state_weight_examples(fx1):
@@ -97,13 +102,14 @@ def test_incorporated(fx1):
     assert incorporated(d, ()) == d
     sub = incorporated(d, (1,))
     assert sub.input == gammas(2, ALPHA)
-    assert [(fx1.prod_id(p), w) for p, w in sub.steps] == [
+    assert [(fx1.prod_id(p), w) for p, w in absolute_steps(sub)] == [
         ("p1", (1, 1)), ("p2", (1,))]
     assert sub.target is None  # no step at the position itself
     at_leaf = incorporated(d, (1, 1, 1))
     assert at_leaf.target == "q"
     below = incorporated(d, (2, 1))
-    assert [(fx1.prod_id(p), w) for p, w in below.steps] == [("p1", ())]
+    assert [(fx1.prod_id(p), w) for p, w in absolute_steps(below)] == [
+        ("p1", ())]
     from wtgc.errors import InvalidPositionError
 
     with pytest.raises(InvalidPositionError):
@@ -139,7 +145,7 @@ def test_derivations_replay_and_are_leftmost(fx1, fx4, fx5):
             for q in sorted(g.nonterminals):
                 for d in derivations(g, tree, q):
                     assert replay_derivation(g, d)
-                    keys = [leftmost_key(w) for _, w in d.steps]
+                    keys = [leftmost_key(w) for _, w in absolute_steps(d)]
                     assert keys == sorted(keys)
 
 
@@ -188,7 +194,7 @@ def test_derivation_order_matches_brute_force():
                 expected = _brute_derivations(g, tree, q)
                 if len(expected) < 2:
                     continue
-                got = [d.steps for d in derivations(g, tree, q)]
+                got = [absolute_steps(d) for d in derivations(g, tree, q)]
                 assert got == expected, (seed, term_str(tree), q)
                 semirings.add(g.semiring.name)
     assert semirings == {"nat", "arctic", "zmod 4"}
@@ -345,7 +351,64 @@ def test_deep_derivation_without_recursion(fx1):
             expected.append((p2, root + (1,) * depth))
     expected.append((p3, ()))
     assert len(ds) == 1
-    assert ds[0].steps == tuple(expected)
+    assert absolute_steps(ds[0]) == tuple(expected)
+
+
+_DERIVATION_PEAK = """
+import sys, tracemalloc
+from wtgc import parse_grammar
+from wtgc.semantics import derivations
+from wtgc.trees import Tree, leaf
+
+text = open(sys.argv[1]).read()
+for n in map(int, sys.argv[2:]):
+    g = parse_grammar(text)
+    chains = []
+    for depth in (n + 1, n):
+        chain = leaf("alpha")
+        for _ in range(depth):
+            chain = Tree("gamma", [chain])
+        chains.append(chain)
+    tree = Tree("sigma", chains)
+    tracemalloc.start()
+    (d,) = derivations(g, tree, "q'")
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def test_one_derivation_takes_linear_memory():
+    # fx1 derives sigma(gamma^(n+1)(alpha), gamma^n(alpha)) in 2n + 3
+    # steps; at four times the depth the peak may grow 4.5-fold, where
+    # steps at absolute positions made it grow 14-fold.  A process of its
+    # own keeps other tests' allocations out of the peak.
+    src = str(Path(wtgc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _DERIVATION_PEAK, str(FIXTURES / "fx1.wtg"),
+         "1000", "4000"],
+        env=env, capture_output=True, check=True, timeout=60).stdout
+    small, large = map(int, out.split())
+    assert large <= 4.5 * small, (small, large)
+
+
+def test_replay_rejects_miscounted_children(fx1):
+    # every step of the first copy sits where it sits in fx1's
+    # derivation, but the root claims the gamma at 1.1 and the alpha
+    # below it as children of its own; in the second, the root counts a
+    # third child, a repeat of the block at 1.1
+    (d,) = derivations(fx1, EX1_TREE, "q'")
+    steps = d.steps
+    (p1, _, _), (p2, _, _), (p3, _, _) = steps[0], steps[1], steps[-1]
+    miscounted = Derivation(((p1, (1, 1, 1), 0), (p2, (1, 1), 0))
+                            + steps[2:4] + ((p3, (), 3),), d.input, d.target)
+    assert absolute_steps(miscounted) == absolute_steps(d)
+    doubled = Derivation(steps[:2] * 2 + steps[2:4] + ((p3, (), 3),),
+                         d.input, d.target)
+    assert absolute_steps(doubled)[:4] == absolute_steps(d)[:2] * 2
+    assert replay_derivation(fx1, d)
+    assert not replay_derivation(fx1, miscounted)
+    assert not replay_derivation(fx1, doubled)
 
 
 def test_shared_tree_costs_its_distinct_objects():
@@ -379,7 +442,7 @@ def test_options_run_once_per_pair_on_shared_trees(monkeypatch, fx2g,
         return options(self, state, c)
 
     monkeypatch.setattr(WeightMap, "_options", counted)
-    got = [d.steps for d in derivations(g, shared, q)]
+    got = [absolute_steps(d) for d in derivations(g, shared, q)]
     assert got == expected and len(got) == 1
     m = weight_map(g)
     reached = {key for key in m._alts if not m._underivable(*key)}

@@ -2,16 +2,32 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, load_grammar, load_hom, t
+from conftest import (FIXTURES, load_grammar, load_hom, random_eq_restricted,
+                      random_ne_wtgc, random_wta_and_hom, random_wtgc, t)
 from wtgc import syntax
-from wtgc.errors import ParseError
+from wtgc.errors import ParseError, WtgcError
 from wtgc.grammar import classify
+from wtgc.homomorphism import image_grammar, relabeling_hom
+from wtgc.semiring import identity_hom, support_hom
 from wtgc.syntax import (
     parse_grammar,
     parse_hom,
     parse_term,
     serialize_grammar,
     serialize_hom,
+)
+from wtgc.transforms import (
+    boolean_finals,
+    complement_support,
+    constraint_determine,
+    disambiguate,
+    disjoint_union,
+    eliminate_zero_derivations,
+    hadamard,
+    normalize,
+    relabel,
+    restrict_support,
+    support_automaton,
 )
 from wtgc.trees import (
     RankedAlphabet,
@@ -240,6 +256,90 @@ def test_round_trip_all_fixtures():
         assert serialize_grammar(again) == text
 
 
+# the 3-state counter of the constructions benchmark; its weights 2 and
+# 3 are zero divisors in zmod 4 and zmod 6
+COUNTER = """semiring nat
+alphabet alpha:0 gamma:1 sigma:2
+nonterminals c0 c1 c2
+final c2 = 3
+prod alpha -> c0 @ 2
+prod gamma(c2) -> c2 @ 2
+prod gamma(c0) -> c1 @ 1
+prod gamma(c1) -> c2 @ 2
+prod gamma(c2) -> c0 @ 3
+prod sigma(c0,c1) -> c2 [eq 1=2] @ 2
+prod sigma(c0,c1) -> c2 [ne 1=2] @ 2
+prod sigma(c1,c2) -> c1 @ 2
+prod sigma(gamma(c0),c2) -> c2 @ 3
+"""
+
+# names that hold `#` in every section, as construction outputs do
+HASH_NAMES = """semiring nat
+alphabet a#0:0 f#2:2 g:1
+nonterminals q q#1 q#[0]
+final q#1 = 2 # a comment after whitespace
+prod a#0 -> q @ 1
+prod g(q) -> q#1 @ 2
+prod f#2(q,q#1) -> q#[0] [eq 1=2.1] @ 1
+prod f#2(q#[0],q) -> q#1 [ne 1.1=2] @ 3
+"""
+
+
+def _disambiguated(g):
+    s = g.semiring
+    hom = (support_hom(s) if s.zero_sum_free and s.zero_divisor_free
+           else identity_hom(s))
+    return disambiguate(normalize(eliminate_zero_derivations(g)), hom)
+
+
+CONSTRUCTIONS = {
+    "normalize": normalize,
+    "boolean_finals": boolean_finals,
+    "eliminate_zero_derivations": eliminate_zero_derivations,
+    "constraint_determine": lambda g: constraint_determine(normalize(g)),
+    "disjoint_union": lambda g: disjoint_union(g, g),
+    "hadamard": lambda g: hadamard(g, g),
+    "disambiguate": _disambiguated,
+    "support_automaton": support_automaton,
+    "complement_support": complement_support,
+    "restrict_support": lambda g: restrict_support(g, g),
+    "relabel": lambda g: relabel(
+        g, {name: f"{name}#r" for name in g.alphabet.names()}),
+}
+
+
+def test_every_construction_reads_back():
+    inputs = [(name, load_grammar(name)) for name in FIXTURE_NAMES]
+    inputs.append(("hash names", parse_grammar(HASH_NAMES)))
+    inputs += [(semiring, parse_grammar(COUNTER.replace("nat", semiring)))
+               for semiring in ("nat", "zmod 4", "zmod 6")]
+    for seed in range(20):
+        inputs += [(f"random_wtgc({seed})", random_wtgc(seed)),
+                   (f"random_eq_restricted({seed})",
+                    random_eq_restricted(seed)),
+                   (f"random_ne_wtgc({seed})", random_ne_wtgc(seed)),
+                   (f"image {seed}",
+                    image_grammar(*random_wta_and_hom(seed)))]
+    outputs = [("image_grammar", name, g) for name, g in inputs
+               if name.startswith("image")]
+    for name, g in inputs:
+        for construction, build in CONSTRUCTIONS.items():
+            try:
+                outputs.append((construction, name, build(g)))
+            except WtgcError:  # outside the construction's class
+                pass
+    built = {construction for construction, _, _ in outputs}
+    assert built == {*CONSTRUCTIONS, "image_grammar"}
+    hashed = {construction for construction, _, out in outputs
+              if "#" in serialize_grammar(out)}
+    assert {"boolean_finals", "eliminate_zero_derivations",
+            "constraint_determine", "disambiguate",
+            "relabel"} <= hashed, hashed
+    for construction, name, out in outputs:
+        assert parse_grammar(serialize_grammar(out)) == out, (
+            construction, name)
+
+
 def test_serialization_is_canonical():
     base = (FIXTURES / "fx1.wtg").read_text()
     lines = [ln for ln in base.splitlines() if ln.strip()
@@ -271,6 +371,15 @@ def test_hom_round_trip(fx3):
     again = parse_hom(text, fx3.alphabet)
     assert again.rhs == h.rhs
     assert serialize_hom(again) == text
+
+
+def test_hom_round_trip_with_hash_in_names():
+    source = RankedAlphabet({"a#0": 0, "f#2": 2})
+    target = RankedAlphabet({"b#1": 0, "f#2": 2})
+    h = relabeling_hom(source, {"a#0": "b#1"}, target)
+    text = serialize_hom(h)
+    assert "a#0 -> b#1" in text
+    assert parse_hom(text + "# a comment\n", source).rhs == h.rhs
 
 
 def test_hom_requires_header():
