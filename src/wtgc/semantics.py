@@ -558,12 +558,13 @@ def absolute_steps(d: Derivation) -> tuple:
     Read backwards, the steps walk the derivation tree in pre-order,
     right to left, so each step's parent is the latest step read that
     still has a child block to fill; `open_` holds the parent's position
-    once per such block."""
+    once per such block, and no more often than steps are left to read."""
     out, open_ = [], []
     for p, v, n in reversed(d.steps):
         w = open_.pop() + v if open_ else v
         out.append((p, w))
-        open_ += [w] * n
+        if n:
+            open_ += [w] * min(n, len(d.steps) - len(out))
     return tuple(reversed(out))
 
 

@@ -409,6 +409,10 @@ def test_replay_rejects_miscounted_children(fx1):
     assert replay_derivation(fx1, d)
     assert not replay_derivation(fx1, miscounted)
     assert not replay_derivation(fx1, doubled)
+    # a count beyond the steps before it costs no more than those steps
+    huge = Derivation(steps[:-1] + ((p3, (), 10 ** 12),), d.input, d.target)
+    assert absolute_steps(huge) == absolute_steps(d)
+    assert not replay_derivation(fx1, huge)
 
 
 def test_shared_tree_costs_its_distinct_objects():
