@@ -2,19 +2,19 @@
 
 In an eq-restricted grammar the subtrees forced equal by constraints are
 all held by the sink, so replacing a derived subtree means replacing its
-copies along the way.  `substitute_derivation` performs exactly that
-replacement, without recursion: one walk down the production steps from
-the root to the substitution position, and one walk back up that splices
-blocks of the base's steps, the donor's steps and the linked copies'
-sink derivations, each moved as it is but for its root's slot.
-`pump` uses it to grow any sufficiently tall accepted tree into
-arbitrarily many taller ones, after the standard preprocessing
-(`ensure_nonbot_child` plus zero-derivation elimination).
+copies along the way.  `substitute_derivation` does exactly that on the
+relative steps themselves, without recursion: one walk down child slots
+from the root step to the substitution position (`semantics.step_path`),
+and one walk back up that splices blocks of the base's steps, the donor's
+steps and the linked copies' sink derivations, each moved as it is but
+for its root's slot.  `pump` uses it to grow any sufficiently tall
+accepted tree into arbitrarily many taller ones, after the standard
+preprocessing (`ensure_nonbot_child` plus zero-derivation elimination);
+each pump step spells the positions of its base once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import PumpError
@@ -28,10 +28,13 @@ from .grammar import (
 from .semantics import (
     Derivation,
     absolute_steps,
+    block_starts,
     derivation_weight,
     derivations,
     incorporated,
+    moved_block,
     replay_derivation,
+    step_path,
 )
 from .trees import (
     Position,
@@ -40,19 +43,6 @@ from .trees import (
     replace,
     subtree,
 )
-
-
-@dataclass(frozen=True)
-class SubstitutionSite:
-    """A base (tree, derivation) pair, a donor pair, and the position of
-    the base at which the donor is substituted."""
-
-    grammar: Wtgc
-    base_tree: Tree
-    base_derivation: Derivation
-    donor_tree: Tree
-    donor_derivation: Derivation
-    at: Position
 
 
 def _sink_table(g: Wtgc, sink: str) -> dict:
@@ -79,113 +69,67 @@ def _sink_steps(by_symbol: dict, t: Tree) -> tuple:
         raise PumpError(f"no sink production for symbol {missing}") from None
 
 
-def _moved(block: tuple, v: Position) -> tuple:
-    """A block of steps with its root step rewriting slot v."""
-    p, _, n = block[-1]
-    return block[:-1] + ((p, v, n),)
+def substitute_derivation(g: Wtgc, base: Derivation, donor: Derivation,
+                          at: Position, *,
+                          replayed: bool = False) -> Derivation:
+    """Replace the subtree derived at `at` in the base's input, and every
+    position equality-linked to it along the derivation, by the donor's
+    input, rederiving the linked copies through the sink.  The new
+    derivation's input is the new tree.
 
-
-def substitute_derivation(site: SubstitutionSite, *,
-                          replayed: bool = False) -> tuple[Tree, Derivation]:
-    """Replace the subtree derived at `site.at` (and every position
-    equality-linked to it along the derivation) by the donor tree,
-    rederiving the linked copies through the sink.
-
-    The base derivation is read as a complete left-most derivation of
-    the base tree, as `derivations` gives them.  There the steps at and
-    below a variable position of a step form one contiguous block that
-    ends at the step for that position, and the blocks of one step's
-    variables follow each other left to right and end just before the
-    step itself.  So the new step list is spliced from blocks of the
-    base's steps, the donor's steps and the sink steps of the linked
-    copies, each with its root step in its slot.  A base or a donor that
-    does not replay on its tree raises `PumpError`; `replayed=True` says
-    that the caller has checked that both do, and skips the replays.
+    Its steps are spliced from blocks `steps[start:k + 1]` of the base,
+    the donor's steps and the sink steps of the linked copies, each with
+    its root step in its slot.  A base or a donor that does not replay
+    raises `PumpError`; `replayed=True` says that the caller has checked
+    that both do, and skips the replays: the splice reads the base as a
+    well-formed derivation.
     """
-    g = site.grammar
     er = eq_restriction(g)
     if er is None:
         raise PumpError("substitution needs an eq-restricted grammar")
     sink = er.sink
-    base, donor, at = site.base_derivation, site.donor_derivation, site.at
-    steps, spelled = base.steps, absolute_steps(base)
-
     subtree(base.input, at)  # raises on a position outside the tree
-    index = {w: i for i, (_, w) in enumerate(spelled)}
-    found = index.get(at)
-    at_target = None if found is None else steps[found][0].target
-    if at_target is None or at_target != donor.target:
+    for role, d in (("base", base), ("donor", donor)):
+        if not (replayed or replay_derivation(g, d)):
+            raise PumpError(f"the {role} derivation does not replay on the "
+                            f"{role} tree")
+
+    steps = base.steps
+    starts = block_starts(steps)
+    levels, k, rest = step_path(base, starts, at)
+    if rest or steps[k][0].target != donor.target:
         raise PumpError("no derivation to the donor's nonterminal at the "
                         "substitution position")
     if donor.target == sink or base.target == sink:
         raise PumpError("substitution endpoints must not be the sink")
 
-    # Down from the root to `at`, one production per level.  A level
-    # keeps its subtree, its position u, the index of its step, the
-    # production p there, the index j of p's variable towards `at`, the
-    # index the level's block starts at, and the index of each
-    # variable's step, which ends that variable's block.
-    levels = []
-    node, u, end, start = site.base_tree, (), len(steps) - 1, 0
-    while u != at:
-        p, w = spelled[end]
-        if w != u:
-            raise PumpError("derivation does not end at the root")
-        dec = g.decompose(p)
-        rest = at[len(u):]
-        for j, v in enumerate(dec.positions):
-            if rest[:len(v)] == v:
-                break
-        else:
-            raise PumpError("substitution position is inside a left-hand "
-                            "side, not below a nonterminal")
-        ends = [index.get(u + v) for v in dec.positions]
-        if None in ends:
-            raise PumpError("derivation does not end at the root")
-        levels.append((node, u, end, p, dec, j, start, ends))
-        if j:
-            start = ends[j - 1] + 1
-        node = subtree(node, dec.positions[j])
-        u, end = u + dec.positions[j], ends[j]
-    # the walk above reports the malformed bases it meets; any other
-    # base, and the donor, must replay, or the splice would build a
-    # non-derivation
-    if not replayed and (base.input != site.base_tree
-                         or not replay_derivation(g, base)):
-        raise PumpError("the base derivation does not replay on the base "
-                        "tree")
-    if donor.input != site.donor_tree or not (
-            replayed or replay_derivation(g, donor)):
-        raise PumpError("the donor derivation does not replay on the "
-                        "donor tree")
-
     # Back up: the new subtree of each level, and the blocks left and
-    # right of variable j; untouched blocks are slices of the base's
-    # steps, linked copies are derived through the sink.
-    new = site.donor_tree
+    # right of child j; untouched blocks are slices of the base's steps,
+    # linked copies are derived through the sink.
+    placed = moved_block(donor.steps, steps[k][1])
+    new = donor.input
     by_symbol = _sink_table(g, sink)
     lefts, rights = [], []
-    for node, u, end, p, dec, j, start, ends in reversed(levels):
-        linked = _linked_positions(g, er, p, j)
+    for node, k, kids, j in reversed(levels):
+        linked = _linked_positions(g, er, steps[k][0], j)
         plugged, blocks, copy = {}, [], None
-        for i, (state, v) in enumerate(zip(dec.states, dec.positions)):
+        for i, c in enumerate(kids):
+            p, v, _ = steps[c]
             if i == j:
                 plugged[v] = new
-            elif state == sink and v in linked:
+            elif p.target == sink and v in linked:
                 plugged[v] = new
                 copy = copy or _sink_steps(by_symbol, new)
-                blocks.append(_moved(copy, v))
+                blocks.append(moved_block(copy, v))
             else:
-                blocks.append(steps[start:ends[i] + 1])
-            start = ends[i] + 1
+                blocks.append(steps[starts[c]:c + 1])
         lefts.append(blocks[:j])
         rights += blocks[j:]
-        rights.append(steps[end:end + 1])
+        rights.append(steps[k:k + 1])
         new = replace(node, plugged)
     lefts.reverse()
-    placed = _moved(donor.steps, steps[found][1])
     new_steps = tuple(chain(*chain.from_iterable(lefts), placed, *rights))
-    return new, Derivation(new_steps, new, base.target)
+    return Derivation(new_steps, new, base.target)
 
 
 def _linked_positions(g: Wtgc, er, p: Production, j: int) -> set:
@@ -247,15 +191,14 @@ def pump(g: Wtgc, t: Tree, d: Derivation, count: int) -> list:
     if t.height <= grammar_height(g):
         raise PumpError(f"tree height {t.height} does not exceed the "
                         f"grammar height {grammar_height(g)}")
-    out = []
-    current_t, current_d = t, d
+    out, current = [], d
     for _ in range(count):
-        current_t, current_d = _pump_once(g, er.sink, current_t, current_d)
-        out.append((current_t, current_d))
+        current = _pump_once(g, er.sink, current)
+        out.append((current.input, current))
     return out
 
 
-def _pump_once(g: Wtgc, sink: str, t: Tree, d: Derivation):
+def _pump_once(g: Wtgc, sink: str, d: Derivation) -> Derivation:
     targets = {pos: p.target for p, pos in absolute_steps(d)}
     deep = [pos for pos, q in targets.items() if q != sink]
     if not deep:
@@ -271,15 +214,13 @@ def _pump_once(g: Wtgc, sink: str, t: Tree, d: Derivation):
     else:
         raise PumpError("internal: no repeated nonterminal above the "
                         "deepest non-sink position")
-    shallow = seen[q]
-    site = SubstitutionSite(g, t, d, subtree(t, shallow),
-                            incorporated(d, shallow), pos)
     # pump replayed the first base, and a substitution into a base that
     # replays gives one that replays
-    new_t, new_d = substitute_derivation(site, replayed=True)
-    if new_t.height <= t.height:
+    new = substitute_derivation(g, d, incorporated(d, seen[q]), pos,
+                                replayed=True)
+    if new.input.height <= d.input.height:
         raise PumpError("internal: substitution did not grow the tree")
-    return new_t, new_d
+    return new
 
 
 def base_derivation(g: Wtgc, t: Tree) -> Derivation:

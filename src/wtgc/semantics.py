@@ -31,8 +31,10 @@ pairs depth first and pushes each pair once: its options are computed
 when it is pushed and memoized with their counts, productions and
 children's keys and relative positions.  A derivation is then spelled
 out with one stack entry per step, each relative to its parent step, so
-one derivation is linear in size and every sub-derivation is one block;
-only `absolute_steps` spells positions.  Over a zero-sum free, zero-divisor
+one derivation is linear in size and every sub-derivation is one block.
+`block_starts` is the one reader of that nesting (where each step's block
+starts; `child_roots` finds its child blocks from there), and only
+`absolute_steps` spells positions.  Over a zero-sum free, zero-divisor
 free semiring a zero weight already rules a derivation out.  Summing
 derivation weights must agree with the weight map, which the test suite
 uses as the master oracle.
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import GrammarError
 from .grammar import DecomposedLhs, Production, Wtgc
@@ -268,10 +271,8 @@ class WeightMap:
         """Shape checks below the root and the constraint pairs."""
         keys = self.keys
         for w, label, arity in plan.checks:
-            c = _at(keys, ch, me, w)
-            if c is None:
-                return False
-            key = keys[c]
+            # pre-order: each node's arity is checked before its children
+            key = keys[_at(keys, ch, me, w)]
             if key[0] != label or len(key[1]) != arity:
                 return False
         for v, w in plan.eq:
@@ -552,20 +553,62 @@ def derivation_weight(g: Wtgc, d: Derivation):
     return total
 
 
+def block_starts(steps) -> list:
+    """The one reader of step nesting: for each step k, the index where
+    its block `steps[start:k + 1]` starts.  The block is the step after
+    the blocks it absorbs: its `children` blocks just before it, or all
+    those still open when fewer are."""
+    starts, open_ = [], []
+    for k, (_, _, n) in enumerate(steps):
+        i = max(len(open_) - n, 0)
+        open_[i:] = [open_[i] if i < len(open_) else k]
+        starts.append(open_[-1])
+    return starts
+
+
+def child_roots(starts: list, k: int) -> list:
+    """The root steps of step k's child blocks, left to right; `starts`
+    is the `block_starts` of the steps."""
+    kids, j = [], k - 1
+    while j >= starts[k]:
+        kids.append(j)
+        j = starts[j] - 1
+    return kids[::-1]
+
+
+def step_path(d: Derivation, starts: list, w: Position) -> tuple:
+    """The walk from the root step of d towards position w along child
+    slots: (levels, k, rest), where `levels` holds (subtree, step, its
+    child roots, index of the child towards w) for each step passed, and
+    step k sits at w, or w lies at `rest`, not empty, inside k's lhs."""
+    steps, node = d.steps, d.input
+    levels, k = [], len(steps) - 1
+    while w:
+        kids = child_roots(starts, k)
+        for j, c in enumerate(kids):
+            v = steps[c][1]
+            if w[:len(v)] == v:
+                break
+        else:
+            break
+        levels.append((node, k, kids, j))
+        node, k, w = subtree(node, v), c, w[len(v):]
+    return levels, k, w
+
+
 def absolute_steps(d: Derivation) -> tuple:
     """The steps of d as (production, position in the input) pairs.
 
-    Read backwards, the steps walk the derivation tree in pre-order,
-    right to left, so each step's parent is the latest step read that
-    still has a child block to fill; `open_` holds the parent's position
-    once per such block, and no more often than steps are left to read."""
-    out, open_ = [], []
-    for p, v, n in reversed(d.steps):
-        w = open_.pop() + v if open_ else v
-        out.append((p, w))
-        if n:
-            open_ += [w] * min(n, len(d.steps) - len(out))
-    return tuple(reversed(out))
+    A parent comes after its children, so read backwards each step's
+    position is known before its child blocks' roots get it as their
+    prefix; a step that no block absorbs sits at its own slot."""
+    steps = d.steps
+    starts, spelled = block_starts(steps), [()] * len(steps)
+    for k in range(len(steps) - 1, -1, -1):
+        spelled[k] += steps[k][1]
+        for c in child_roots(starts, k):
+            spelled[c] = spelled[k]
+    return tuple((p, w) for (p, _, _), w in zip(steps, spelled))
 
 
 def replay_derivation(g: Wtgc, d: Derivation) -> bool:
@@ -579,16 +622,18 @@ def replay_derivation(g: Wtgc, d: Derivation) -> bool:
     block derives the whole input to the target.  This is deliberately
     independent of `derivations` and of the weight map.
     """
-    t = d.input
-    blocks: list = []  # (slot, nonterminal) of each block not yet absorbed
-    for (p, w), (_, v, n) in zip(absolute_steps(d), d.steps):
+    t, steps = d.input, d.steps
+    starts = block_starts(steps)
+    for k, (p, w) in enumerate(absolute_steps(d)):
         try:
             g.prod_id(p)
         except GrammarError:
             return False
         node, dec = subtree_or_none(t, w), g.decompose(p)
-        kids = blocks[len(blocks) - n:] if n <= len(blocks) else None
-        if node is None or kids != list(zip(dec.positions, dec.states)):
+        kids = child_roots(starts, k)
+        if (node is None or len(kids) != steps[k][2]
+                or [(steps[c][1], steps[c][0].target) for c in kids]
+                != list(zip(dec.positions, dec.states))):
             return False
         for u, label, arity in (((), p.lhs.label, len(p.lhs.children)),
                                 *dec.checks):
@@ -599,9 +644,9 @@ def replay_derivation(g: Wtgc, d: Derivation) -> bool:
         if not (satisfies_all(node, p.eq)
                 and dissatisfies_all(node, p.ineq)):
             return False
-        blocks[len(blocks) - n:] = [(v, p.target)]
-    if d.steps:
-        return blocks == [((), d.target)]
+    if steps:
+        p, v, _ = steps[-1]
+        return not starts[-1] and v == () and p.target == d.target
     return t == leaf(d.target)
 
 
@@ -616,16 +661,28 @@ def evaluate(g: Wtgc, t: Tree):
 
 
 def incorporated(d: Derivation, w: Position) -> Derivation:
-    """The derivation for the subtree at w hidden inside d: the steps at
-    or below w, the root step of each of their blocks placed relative to
-    w."""
-    sub = subtree(d.input, w)
-    k = len(w)
-    steps = tuple((p, v if len(u) - len(v) >= k else u[k:], n)
-                  for (p, u), (_, v, n) in zip(absolute_steps(d), d.steps)
-                  if u[:k] == w)
-    target = steps[-1][0].target if steps and not steps[-1][1] else None
-    return Derivation(steps, sub, target)
+    """The derivation for the subtree at w hidden inside d: the block of
+    the step at w, or, where w lies inside a step's lhs, the child blocks
+    of that step below w, each root step placed relative to w."""
+    sub, steps = subtree(d.input, w), d.steps
+    if not steps:
+        return Derivation((), sub, None)
+    starts = block_starts(steps)
+    _, k, rest = step_path(d, starts, w)
+    if rest:
+        n = len(rest)
+        return Derivation(tuple(chain.from_iterable(
+            moved_block(steps[starts[c]:c + 1], steps[c][1][n:])
+            for c in child_roots(starts, k) if steps[c][1][:n] == rest)),
+            sub, None)
+    return Derivation(moved_block(steps[starts[k]:k + 1], ()), sub,
+                      steps[k][0].target)
+
+
+def moved_block(block: tuple, v: Position) -> tuple:
+    """A block of steps with its root step rewriting slot v."""
+    p, _, n = block[-1]
+    return block[:-1] + ((p, v, n),)
 
 
 def check_unambiguous_upto(g: Wtgc, max_size: int):

@@ -93,7 +93,9 @@ class Semiring:
         raise NotImplementedError
 
     def format(self, a) -> str:
-        raise NotImplementedError
+        """The literal `parse` reads back as a; a bool is spelled as its
+        int, which every carrier that holds it holds too."""
+        return str(int(a)) if type(a) is bool else str(a)
 
     def __eq__(self, other):
         return isinstance(other, Semiring) and self.name == other.name
@@ -120,7 +122,7 @@ class BooleanSemiring(Semiring):
         return a & b
 
     def contains(self, a):
-        return a in (0, 1)
+        return isinstance(a, int) and a in (0, 1)
 
     def elements(self):
         return (0, 1)
@@ -129,9 +131,6 @@ class BooleanSemiring(Semiring):
         if text in ("0", "1"):
             return int(text)
         raise SemiringError(f"bad boolean literal {text!r}")
-
-    def format(self, a):
-        return str(a)
 
 
 class NaturalsSemiring(Semiring):
@@ -166,9 +165,6 @@ class NaturalsSemiring(Semiring):
         if text == self.format(self.zero):
             return self.zero
         raise SemiringError(f"bad {self.name} literal {text!r}")
-
-    def format(self, a):
-        return str(a)
 
 
 def _is_prime(m: int) -> bool:
@@ -214,9 +210,6 @@ class IntegersMod(Semiring):
         if is_decimal(text) and int(text) < self.modulus:
             return int(text)
         raise SemiringError(f"bad zmod {self.modulus} literal {text!r}")
-
-    def format(self, a):
-        return str(a)
 
 
 BOOLEAN = BooleanSemiring()

@@ -16,7 +16,6 @@ from wtgc.errors import DecisionError
 from wtgc.grammar import production_str
 from wtgc.homomorphism import hom_image_stage_one, image_weight_oracle
 from wtgc.pumping import (
-    SubstitutionSite,
     ensure_nonbot_child,
     grammar_height,
     pump,
@@ -200,9 +199,8 @@ def test_criterion_7_pumping(fx4):
         (d,) = derivations(fx4, base, "q")
         donor = parse_term("g(a,a)", fx4.alphabet)
         (dp,) = derivations(fx4, donor, "q")
-        site = SubstitutionSite(fx4, base, d, donor, dp, (1, 1))
-        pumped_tree, pumped_d = substitute_derivation(site)
-        assert term_str(pumped_tree) \
+        pumped_d = substitute_derivation(fx4, d, dp, (1, 1))
+        assert term_str(pumped_d.input) \
             == "f(g(g(a,a),g(a,a)),f(a,g(g(a,a),g(a,a))))"
         assert replay_derivation(fx4, pumped_d)
 

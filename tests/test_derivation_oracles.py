@@ -19,7 +19,6 @@ from conftest import (leftmost_key, load_grammar, random_eq_restricted,
 from wtgc.errors import GrammarError, PumpError, WtgcError
 from wtgc.grammar import eq_restriction
 from wtgc.pumping import (
-    SubstitutionSite,
     _linked_positions,
     _sink_steps,
     _sink_table,
@@ -76,18 +75,16 @@ def replay_by_rebuilding(g, d):
     return form == leaf(d.target)
 
 
-def substitute_by_recursion(site):
+def substitute_by_recursion(g, base, donor, at):
     """`substitute_derivation` as one recursive call per level, each
     filtering and re-prefixing the steps below it; the derivation it
     returns holds (production, absolute position) steps."""
-    g = site.grammar
     er = eq_restriction(g)
     if er is None:
         raise PumpError("substitution needs an eq-restricted grammar")
     sink = er.sink
-    base, donor = site.base_derivation, site.donor_derivation
 
-    at_target = incorporated(base, site.at).target
+    at_target = incorporated(base, at).target
     if at_target is None or at_target != donor.target:
         raise PumpError("no derivation to the donor's nonterminal at the "
                         "substitution position")
@@ -96,7 +93,7 @@ def substitute_by_recursion(site):
 
     def rec(t, steps, w):
         if not w:
-            return site.donor_tree, absolute_steps(donor)
+            return donor.input, absolute_steps(donor)
         p, root_pos = steps[-1]
         if root_pos != ():
             raise PumpError("derivation does not end at the root")
@@ -136,8 +133,8 @@ def substitute_by_recursion(site):
         new_tree = replace(t, dict(zip(dec.positions, out_subtrees)))
         return new_tree, tuple(out_steps)
 
-    new_tree, new_steps = rec(site.base_tree, absolute_steps(base), site.at)
-    return new_tree, Derivation(new_steps, new_tree, base.target)
+    new_tree, new_steps = rec(base.input, absolute_steps(base), at)
+    return Derivation(new_steps, new_tree, base.target)
 
 
 def all_derivations(g, max_size):
@@ -224,19 +221,19 @@ def spread_of_donors(g, size):
     return list(donors.values())
 
 
-def substitute_spelled(site):
+def substitute_spelled(*args):
     """`substitute_derivation` with its steps spelled by `absolute_steps`,
     as `substitute_by_recursion` returns them."""
-    tree, d = substitute_derivation(site)
-    return tree, dataclasses.replace(d, steps=absolute_steps(d))
+    d = substitute_derivation(*args)
+    return dataclasses.replace(d, steps=absolute_steps(d))
 
 
-def outcome(fn, site):
+def outcome(fn, *args):
     try:
-        tree, d = fn(site)
+        d = fn(*args)
     except (WtgcError, LookupError) as exc:
         return type(exc), str(exc)
-    return tree, d.steps, d.target, d.input == tree
+    return d.input, d.steps, d.target
 
 
 @pytest.mark.parametrize("name,g,size", [
@@ -249,11 +246,36 @@ def test_substitution_matches_the_recursive_reference(name, g, size):
             for base in derivations(g, base_tree, q)[:1]:
                 outside = (len(base_tree.children) + 1,)
                 for at in [w for w, _ in walk(base_tree)] + [outside]:
-                    for donor_tree, donor in donors:
-                        site = SubstitutionSite(g, base_tree, base,
-                                                donor_tree, donor, at)
-                        got = outcome(substitute_spelled, site)
+                    for _, donor in donors:
+                        site = (g, base, donor, at)
+                        got = outcome(substitute_spelled, *site)
                         assert got == outcome(substitute_by_recursion,
-                                              site), (name, site)
+                                              *site), (name, site)
                         substituted += not isinstance(got[0], type)
     assert substituted, name
+
+
+@pytest.mark.parametrize("name,g,size", [
+    pytest.param(*case, id=case[0]) for case in substitution_grammars()])
+def test_substitution_rejects_exactly_the_bases_that_do_not_replay(
+        name, g, size):
+    # the splice reads a base as well-formed, so a base that does not
+    # replay must be turned away before it, wherever the donor goes
+    (_, donor), *_ = spread_of_donors(g, 4)
+    rng = random.Random(size)
+    rejected = 0
+    for base_tree in enumerate_trees(g.alphabet, size):
+        for q in sorted(g.nonterminals):
+            for base in derivations(g, base_tree, q)[:1]:
+                for m in mutations(g, base, rng):
+                    replays = replay_by_rebuilding(g, m)
+                    for at, _ in walk(base_tree):
+                        try:
+                            substitute_derivation(g, m, donor, at)
+                        except PumpError as exc:
+                            turned_away = "does not replay" in str(exc)
+                        else:
+                            turned_away = False
+                        assert turned_away == (not replays), (name, m, at)
+                        rejected += turned_away
+    assert rejected, name

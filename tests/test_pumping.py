@@ -1,12 +1,9 @@
-from dataclasses import replace
-
 import pytest
 
 from conftest import leftmost_key, t
 from wtgc.errors import InvalidPositionError, PumpError
 from wtgc.grammar import Production, Wtgc, eq_restriction
 from wtgc.pumping import (
-    SubstitutionSite,
     _sink_steps,
     _sink_table,
     base_derivation,
@@ -43,23 +40,24 @@ FIG7_TREE = "f(g(g(a,a),g(a,a)),f(a,g(g(a,a),g(a,a))))"
 
 @pytest.fixture
 def fx4_site(fx4):
+    """The base derivation and the donor derivation of the figure."""
     base = parse_term(BASE_TREE, fx4.alphabet)
     (d,) = derivations(fx4, base, "q")
     donor = parse_term("g(a,a)", fx4.alphabet)
     (dp,) = derivations(fx4, donor, "q")
-    return SubstitutionSite(fx4, base, d, donor, dp, (1, 1))
+    return d, dp
 
 
 def test_substitution_reproduces_figure_tree(fx4, fx4_site):
-    new_tree, new_d = substitute_derivation(fx4_site)
-    assert term_str(new_tree) == FIG7_TREE
+    new_d = substitute_derivation(fx4, *fx4_site, (1, 1))
+    assert term_str(new_d.input) == FIG7_TREE
     assert new_d.target == "q"
     assert replay_derivation(fx4, new_d)
-    assert evaluate(fx4, new_tree) == 1
+    assert evaluate(fx4, new_d.input) == 1
 
 
 def test_substitution_step_list(fx4, fx4_site):
-    _, new_d = substitute_derivation(fx4_site)
+    new_d = substitute_derivation(fx4, *fx4_site, (1, 1))
     got = [(fx4.prod_id(p), w) for p, w in absolute_steps(new_d)]
     # canonical ids: p1 = a->bot, p2 = a->q, p4 = f(q,f(q,bot))->q,
     # p5 = g(bot,bot)->bot, p6 = g(q,bot)->q
@@ -74,52 +72,44 @@ def test_substitution_step_list(fx4, fx4_site):
 
 
 def test_substitution_at_root_returns_donor(fx4, fx4_site):
-    site = SubstitutionSite(fx4, fx4_site.base_tree,
-                            fx4_site.base_derivation, fx4_site.donor_tree,
-                            fx4_site.donor_derivation, ())
-    new_tree, new_d = substitute_derivation(site)
-    assert new_tree == fx4_site.donor_tree
-    assert new_d.steps == fx4_site.donor_derivation.steps
+    d, dp = fx4_site
+    new_d = substitute_derivation(fx4, d, dp, ())
+    assert new_d.input == dp.input
+    assert new_d.steps == dp.steps
 
 
 def test_substitution_leaves_parallel_positions_alone(fx4, fx4_site):
     # position 2.1 equals the replaced subtree but is not constrained to it
-    new_tree, _ = substitute_derivation(fx4_site)
-    assert subtree(fx4_site.base_tree, (2, 1)) \
-        == subtree(fx4_site.base_tree, (1, 1))
+    d, dp = fx4_site
+    new_tree = substitute_derivation(fx4, d, dp, (1, 1)).input
+    assert subtree(d.input, (2, 1)) == subtree(d.input, (1, 1))
     assert subtree(new_tree, (2, 1)) == leaf("a")
     assert subtree(new_tree, (1, 1)) == parse_term("g(a,a)", fx4.alphabet)
 
 
 def test_substitution_rejects_target_mismatch(fx4, fx4_site):
-    bad = SubstitutionSite(fx4, fx4_site.base_tree,
-                           fx4_site.base_derivation, fx4_site.donor_tree,
-                           fx4_site.donor_derivation, (2, 2))
     with pytest.raises(PumpError):
-        substitute_derivation(bad)
+        substitute_derivation(fx4, *fx4_site, (2, 2))
 
 
 def test_substitution_rejects_malformed_bases(fx4, fx4_site):
-    steps = fx4_site.base_derivation.steps
+    d, dp = fx4_site
+    steps = d.steps
     root = steps[-1]
     below_q = next(p for p, _, _ in steps if p.target == "q" and not p.eq)
 
-    def site(new_steps, at):
-        d = Derivation(new_steps, fx4_site.base_tree, "q")
-        return SubstitutionSite(fx4, fx4_site.base_tree, d,
-                                fx4_site.donor_tree,
-                                fx4_site.donor_derivation, at)
+    def base(new_steps):
+        return Derivation(new_steps, d.input, "q")
 
-    with pytest.raises(PumpError, match="does not end at the root"):
-        substitute_derivation(site(steps[:-1], (1, 1)))
+    with pytest.raises(PumpError, match="does not replay"):
+        substitute_derivation(fx4, base(steps[:-1]), dp, (1, 1))
     # a step at 2, which the root's lhs f(q,f(q,bot)) covers
-    covered = site(steps[:-1] + ((below_q, (2,), 0), (root[0], (), 4)), (2,))
-    assert absolute_steps(covered.base_derivation)[-2:] == (
-        (below_q, (2,)), (root[0], ()))
-    with pytest.raises(PumpError, match="inside a left-hand side"):
-        substitute_derivation(covered)
+    covered = base(steps[:-1] + ((below_q, (2,), 0), (root[0], (), 4)))
+    assert absolute_steps(covered)[-2:] == ((below_q, (2,)), (root[0], ()))
+    with pytest.raises(PumpError, match="does not replay"):
+        substitute_derivation(fx4, covered, dp, (2,))
     with pytest.raises(InvalidPositionError, match="position 3 not in"):
-        substitute_derivation(site(steps, (3,)))
+        substitute_derivation(fx4, base(steps), dp, (3,))
 
 
 def test_substitution_rejects_a_base_that_does_not_replay(fx4):
@@ -134,32 +124,20 @@ def test_substitution_rejects_a_base_that_does_not_replay(fx4):
     assert not replay_derivation(fx4, d)
     donor = parse_term("g(a,a)", fx4.alphabet)
     (dp,) = derivations(fx4, donor, "q")
-    site = SubstitutionSite(fx4, base, d, donor, dp, (2,))
     with pytest.raises(PumpError, match="does not replay"):
-        substitute_derivation(site)
-
-
-def test_substitution_rejects_a_donor_of_another_tree(fx4, fx4_site):
-    # the donor tree is g(a,a), the donor derivation derives a to q: the
-    # splice would not replay, whether or not the caller vouches for it
-    a = parse_term("a", fx4.alphabet)
-    (da,) = derivations(fx4, a, "q")
-    site = replace(fx4_site, donor_derivation=da)
-    for replayed in (False, True):
-        with pytest.raises(PumpError, match="donor derivation does not"):
-            substitute_derivation(site, replayed=replayed)
+        substitute_derivation(fx4, d, dp, (2,))
 
 
 def test_substitution_rejects_a_donor_that_does_not_replay(fx4, fx4_site):
     # a derivation of the donor tree g(a,a) to q that derives the second
     # child to q where g(q,bot) needs bot
+    base, dp = fx4_site
     prods = {fx4.spellings[i]: p for i, p in enumerate(fx4.productions)}
     to_q, root = prods["a -> q @ 1"], prods["g(q,bot) -> q [eq 1=2] @ 1"]
     d = Derivation(((to_q, (1,), 0), (to_q, (2,), 0), (root, (), 2)),
-                   fx4_site.donor_tree, "q")
-    site = replace(fx4_site, donor_derivation=d)
+                   dp.input, "q")
     with pytest.raises(PumpError, match="donor derivation does not"):
-        substitute_derivation(site)
+        substitute_derivation(fx4, base, d, (1, 1))
 
 
 def offender_grammar():
@@ -253,6 +231,32 @@ def test_pump_rejects_short_trees(fx4_prepared):
     (d,) = derivations(g, base, q)
     with pytest.raises(PumpError, match="height"):
         pump(g, base, d, 1)
+
+
+def test_pump_spells_positions_once_per_step(fx4_prepared, monkeypatch):
+    import wtgc.pumping
+    import wtgc.semantics
+
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return absolute_steps(d)
+
+    monkeypatch.setattr(wtgc.semantics, "absolute_steps", counted)
+    monkeypatch.setattr(wtgc.pumping, "absolute_steps", counted)
+    g = fx4_prepared
+    base = parse_term(term_str(tall_square(7)), g.alphabet)
+    (q,) = g.final_support()
+    (d,) = derivations(g, base, q)
+    out = pump(g, base, d, 3)
+    # one spelling to replay the base, and one per pump step
+    assert len(calls) <= 1 + 3
+    calls.clear()
+    (tree, grown), _, _ = out
+    donor = derivations(g, subtree(tree, (1,)), q)[0]
+    substitute_derivation(g, grown, donor, (1,), replayed=True)
+    assert calls == []
 
 
 def test_sink_steps_are_the_leftmost_order(fx4_prepared):

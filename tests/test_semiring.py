@@ -221,3 +221,30 @@ def test_tropical_grammar_end_to_end():
         "prod gamma(q) -> q @ 2\n", ""))
     assert not is_support_empty(finite)
     assert finiteness_analysis(finite) == (True, "no productive cycle")
+
+
+def test_api_weights_read_back():
+    # a bool is written as its int, and no carrier takes the float 1.0,
+    # so every weight a grammar built through the API accepts reads back
+    from wtgc.errors import GrammarError
+    from wtgc.grammar import Production, Wtgc
+    from wtgc.syntax import parse_grammar, serialize_grammar
+    from wtgc.trees import RankedAlphabet, leaf
+
+    for s in ALL:
+        for weight in (True, 1.0):
+            def build():
+                return Wtgc({"q"}, RankedAlphabet({"a": 0}), {"q": weight},
+                            [Production(leaf("a"), "q", weight)], s)
+
+            if type(weight) is float:
+                assert not s.contains(weight), s
+                with pytest.raises(GrammarError, match="outside the carrier"):
+                    build()
+                continue
+            g = build()
+            text = serialize_grammar(g)
+            assert "final q = 1" in text and "a -> q @ 1" in text
+            assert parse_grammar(text) == g
+        for a in (True, False):
+            assert s.contains(a) and s.parse(s.format(a)) == a
