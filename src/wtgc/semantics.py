@@ -271,7 +271,7 @@ class WeightMap:
         """Shape checks below the root and the constraint pairs."""
         keys = self.keys
         for w, label, arity in plan.checks:
-            # pre-order: each node's arity is checked before its children
+            # never None: in pre-order each arity is checked before its kids
             key = keys[_at(keys, ch, me, w)]
             if key[0] != label or len(key[1]) != arity:
                 return False
@@ -557,12 +557,13 @@ def block_starts(steps) -> list:
     """The one reader of step nesting: for each step k, the index where
     its block `steps[start:k + 1]` starts.  The block is the step after
     the blocks it absorbs: its `children` blocks just before it, or all
-    those still open when fewer are."""
-    starts, open_ = [], []
+    the steps before it when they hold fewer blocks."""
+    starts = []
     for k, (_, _, n) in enumerate(steps):
-        i = max(len(open_) - n, 0)
-        open_[i:] = [open_[i] if i < len(open_) else k]
-        starts.append(open_[-1])
+        j = k - 1
+        while n and j >= 0:
+            j, n = starts[j] - 1, n - 1
+        starts.append(j + 1)
     return starts
 
 
