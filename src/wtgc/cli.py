@@ -324,11 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # still recursive: the term printer (`term_str`), `relabel`'s
-    # `relabel_tree` (image, transform relabel), and `preimage`'s `pre`
-    # and `_match_rhs` (image-eval, the relabel oracle); the raised
-    # limit is put back on return so that in-process callers keep their
-    # own
+    # still recursive: the term printer (`term_str`); the raised limit
+    # is put back on return so that in-process callers keep their own
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:

@@ -19,11 +19,11 @@ from .transforms import relabel
 from .trees import (
     RankedAlphabet,
     Tree,
+    fold,
     is_variable,
     leaf,
     replace,
     substitute,
-    term_str,
     variable,
     walk,
 )
@@ -81,52 +81,60 @@ def relabeling_hom(source: RankedAlphabet, pi: dict,
 
 
 def apply(h: TreeHom, t: Tree) -> Tree:
-    """The induced image of t."""
-    if t.label not in h.source:
-        raise HomomorphismError(f"unknown symbol {t.label!r}")
-    images = {variable(i + 1): apply(h, c)
-              for i, c in enumerate(t.children)}
-    return substitute(h.rhs[t.label], images)
+    """The induced image of t, built by one `fold`."""
+    def image(node: Tree, kids: tuple) -> Tree:
+        if node.label not in h.source:
+            raise HomomorphismError(f"unknown symbol {node.label!r}")
+        if h.source.rank(node.label) != len(kids):
+            raise HomomorphismError(f"arity mismatch at {node.label!r}")
+        return substitute(h.rhs[node.label],
+                          {variable(i + 1): c for i, c in enumerate(kids)})
+
+    return fold(t, image, {})
 
 
-def _match_rhs(pattern: Tree, u: Tree, bindings: dict) -> bool:
-    if not pattern.children and is_variable(pattern.label):
-        known = bindings.get(pattern.label)
-        if known is None:
-            bindings[pattern.label] = u
-            return True
-        return known == u
-    if pattern.label != u.label or len(pattern.children) != len(u.children):
-        return False
-    return all(_match_rhs(pc, uc, bindings)
-               for pc, uc in zip(pattern.children, u.children))
+def _match_rhs(pattern: Tree, u: Tree) -> dict | None:
+    """The variable bindings under which `pattern` spells u, or None."""
+    bindings: dict = {}
+    stack = [(pattern, u)]
+    while stack:
+        p, v = stack.pop()
+        if not p.children and is_variable(p.label):
+            if bindings.setdefault(p.label, v) != v:
+                return None
+        elif p.label != v.label or len(p.children) != len(v.children):
+            return None
+        else:
+            stack.extend(zip(p.children, v.children))
+    return bindings
 
 
 def preimage(h: TreeHom, u: Tree) -> list[Tree]:
     """The finite inverse image of u under a nondeleting and nonerasing
-    homomorphism, via memoized top-down matching."""
+    homomorphism, in the order it is built: the subtrees that variables
+    bind are found top down, and since a variable of a nonerasing rhs
+    binds a proper subtree, their preimages are built smallest first."""
     if not (h.nondeleting and h.nonerasing):
         raise HomomorphismError("preimage needs a nondeleting and "
                                 "nonerasing homomorphism")
-    memo: dict[Tree, tuple] = {}
-
-    def pre(node: Tree) -> tuple:
-        if node in memo:
-            return memo[node]
-        found = []
+    matches: dict[Tree, list] = {}  # subtree -> [(symbol, bound subtrees)]
+    stack = [u]
+    while stack:
+        node = stack.pop()
+        if node in matches:
+            continue
+        found = matches[node] = []
         for name, rank in h.source.symbols():
-            bindings: dict = {}
-            if not _match_rhs(h.rhs[name], node, bindings):
-                continue
-            pools = [pre(bindings[variable(i + 1)]) for i in range(rank)]
-            if any(not pool for pool in pools):
-                continue
-            for combo in itertools.product(*pools):
-                found.append(Tree(name, combo))
-        memo[node] = tuple(found)
-        return memo[node]
-
-    return sorted(pre(u), key=term_str)
+            bindings = _match_rhs(h.rhs[name], node)
+            if bindings is not None:
+                bound = [bindings[variable(i + 1)] for i in range(rank)]
+                found.append((name, bound))
+                stack.extend(bound)
+    pre: dict[Tree, list] = {}
+    for node in sorted(matches, key=lambda tree: tree.size):
+        pre[node] = [Tree(name, combo) for name, bound in matches[node]
+                     for combo in itertools.product(*(pre[b] for b in bound))]
+    return pre[u]
 
 
 def image_weight_oracle(h: TreeHom, g: Wtgc, u: Tree):
@@ -136,20 +144,24 @@ def image_weight_oracle(h: TreeHom, g: Wtgc, u: Tree):
     return g.semiring.sum(evaluate(g, t) for t in preimage(h, u))
 
 
-def annotated_symbol(delta: str, pid: str) -> str:
-    """Serialized form of a production-annotated symbol; the relabeling
-    stage strips everything from the marker on."""
-    return f"{delta}#{pid}"
+def annotated_symbols(g: Wtgc, h: TreeHom) -> dict:
+    """The production-annotated symbols of the image construction by
+    (target symbol, production id): `delta#pid`, primed until it avoids
+    the target's symbols, g's nonterminals and the other annotations."""
+    names = Names(set(h.target.names()) | set(g.nonterminals), "#".join)
+    return {key: names[key] for key in itertools.product(
+        h.target.names(), map(g.prod_id, g.productions))}
 
 
 def hom_image_stage_one(g: Wtgc, h: TreeHom) -> Wtgc:
     """The annotated intermediate grammar of the image construction.
 
     Symbols are the target alphabet plus one annotated copy per (symbol,
-    production) pair.  Each input production turns into one production
-    whose lhs is the annotated rhs of the homomorphism with the leftmost
-    occurrence of each variable holding the corresponding nonterminal
-    and duplicates held by the sink, equality-linked to the original.
+    production) pair, named by `annotated_symbols`.  Each input
+    production turns into one production whose lhs is the annotated rhs
+    of the homomorphism with the leftmost occurrence of each variable
+    holding the corresponding nonterminal and duplicates held by the
+    sink, equality-linked to the original.
     Every tree accepted by a non-sink nonterminal here has exactly one
     derivation.
     """
@@ -163,10 +175,10 @@ def hom_image_stage_one(g: Wtgc, h: TreeHom) -> Wtgc:
     if h.source != g.alphabet:
         raise HomomorphismError("homomorphism source alphabet mismatch")
     s = g.semiring
+    annotated = annotated_symbols(g, h)
     symbols = dict(h.target.symbols())
-    for name, rank in h.target.symbols():
-        for p in g.productions:
-            symbols[annotated_symbol(name, g.prod_id(p))] = rank
+    for (delta, _), name in annotated.items():
+        symbols[name] = h.target.rank(delta)
     alphabet = RankedAlphabet(symbols)
     bot = Names(set(g.nonterminals) | set(alphabet.names()))["bot"]
 
@@ -187,7 +199,7 @@ def hom_image_stage_one(g: Wtgc, h: TreeHom) -> Wtgc:
                 assignment[w] = leaf(bot)
             constraints.update(itertools.combinations(occ, 2))
         body = replace(u, assignment)
-        root = annotated_symbol(u.label, g.prod_id(p))
+        root = annotated[u.label, g.prod_id(p)]
         productions.add(Production(Tree(root, body.children), p.target,
                                    p.weight, constraints))
     final = dict(g.final)
@@ -197,9 +209,10 @@ def hom_image_stage_one(g: Wtgc, h: TreeHom) -> Wtgc:
 
 def image_grammar(g: Wtgc, h: TreeHom) -> Wtgc:
     """An eq-restricted positive classic grammar generating the image of
-    g under h, obtained by relabeling the annotated stage away."""
+    g under h, obtained by relabeling the annotated stage away: each
+    annotated symbol back to the target symbol it was named for."""
     stage_one = hom_image_stage_one(g, h)
-    pi = {}
-    for name, _ in stage_one.alphabet.symbols():
-        pi[name] = name.split("#", 1)[0]
+    pi = {name: name for name in h.target}
+    for (delta, _), name in annotated_symbols(g, h).items():
+        pi[name] = delta
     return relabel(stage_one, pi, target_alphabet=h.target)

@@ -3,8 +3,8 @@
 The weight map (`WeightMap`, built on first use and kept on the grammar)
 gives every distinct subtree it meets a canonical id from its label and
 its children's ids, so structurally equal subtrees share one id however
-they are shared in memory (hash-consing).  Trees are walked in
-post-order with an explicit stack, each distinct node object once: deep
+they are shared in memory (hash-consing).  Trees are interned by
+`trees.fold`, children first and each distinct node object once: deep
 trees need no recursion, and DAG-shaped inputs cost only their distinct
 objects.  Per id the map stores the sparse vector of nonzero state
 weights, the initial-algebra weight map, with equal vectors stored once.
@@ -57,6 +57,7 @@ from .trees import (
     Tree,
     dissatisfies_all,
     enumerate_trees,
+    fold,
     leaf,
     satisfies_all,
     subtree,
@@ -237,23 +238,11 @@ class WeightMap:
     def _cid(self, t: Tree) -> int:
         """The canonical id of t, interning every node object below it
         that was not walked before."""
-        seen = self._seen
-        c = seen.get(id(t))
-        if c is not None:
-            return c
-        get = seen.get
-        stack = [t]
-        while stack:
-            node = stack[-1]
-            ch = tuple(map(get, map(id, node.children)))
-            if None in ch:
-                stack.extend(k for k in node.children if get(id(k)) is None)
-                continue
-            stack.pop()
-            if id(node) not in seen:  # a shared node may be pushed twice
-                seen[id(node)] = self._node_id(node.label, ch)
-                self._alive.append(node)
-        return seen[id(t)]
+        return fold(t, self._intern, self._seen)
+
+    def _intern(self, node: Tree, ch: tuple) -> int:
+        self._alive.append(node)
+        return self._node_id(node.label, ch)
 
     def _node_id(self, label, ch) -> int:
         key = (label, ch)

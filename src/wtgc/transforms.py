@@ -21,7 +21,6 @@ decided by one congruence closure (`_equal_children`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import product
 
 from .errors import TransformError
@@ -33,13 +32,13 @@ from .grammar import (
     clashing,
     eq_restriction,
     equality_classes,
-    production_str,
     sink_productions,
 )
 from .semiring import BOOLEAN, Semiring, SemiringHom, support_hom
 from .trees import (
     RankedAlphabet,
     Tree,
+    fold,
     leaf,
     replace,
     substitute,
@@ -203,42 +202,30 @@ def weighted_productions(s: Semiring, items) -> set:
 def normalize(g: Wtgc) -> Wtgc:
     """Equivalent WTAc: every lhs becomes sigma(q1...qk) by abbreviating
     proper subtrees with fresh nonterminals named after them.  Already
-    normalized grammars come back unchanged."""
+    normalized grammars come back unchanged.  One `fold` table for the
+    grammar abbreviates each distinct proper subtree of an lhs once,
+    children first, over the productions in order."""
     cls = classify(g)
     if cls.normalized:
         return g
     s = g.semiring
-    nonterminals = set(g.nonterminals)
-    names = Names(nonterminals | set(g.alphabet.names()), _mangle)
+    names = Names(set(g.nonterminals) | set(g.alphabet.names()), _mangle)
     productions: set = set()
-    # the productions left to rewrite, smallest lhs first
-    heap: list = []
 
-    def add(p):
-        if p in productions:
-            return
-        productions.add(p)
-        if not all(c.label in nonterminals and not c.children
-                   for c in p.lhs.children):
-            heappush(heap, (term_str(p.lhs), production_str(p, s), p))
+    def abbreviate(sub: Tree, kids: tuple) -> Tree:
+        if not kids and sub.label in g.nonterminals:
+            return sub
+        name = names[sub]
+        productions.add(Production(Tree(sub.label, kids), name, s.one))
+        return leaf(name)
 
+    done: dict = {}
     for p in g.productions:
-        add(p)
-    while heap:
-        p = heappop(heap)[2]
-        children = []
-        for sub in p.lhs.children:
-            if sub.label in nonterminals and not sub.children:
-                children.append(sub)
-                continue
-            name = names[sub]
-            nonterminals.add(name)
-            add(Production(sub, name, s.one))
-            children.append(leaf(name))
-        productions.remove(p)
-        add(Production(Tree(p.lhs.label, children), p.target, p.weight,
-                       p.eq, p.ineq))
-    return Wtgc(nonterminals, g.alphabet, g.final, productions, s)
+        children = [fold(c, abbreviate, done) for c in p.lhs.children]
+        productions.add(Production(Tree(p.lhs.label, children), p.target,
+                                   p.weight, p.eq, p.ineq))
+    return Wtgc(set(g.nonterminals) | set(names.values()), g.alphabet,
+                g.final, productions, s)
 
 
 def boolean_finals(g: Wtgc) -> Wtgc:
@@ -629,13 +616,13 @@ def relabel(g: Wtgc, pi: dict[str, str],
                     or target_alphabet.rank(name) != rank:
                 raise TransformError(f"rank mismatch at {name!r}")
 
-    def relabel_tree(t: Tree) -> Tree:
-        if not t.children and t.label in g.nonterminals:
-            return t
-        return Tree(pi[t.label], [relabel_tree(c) for c in t.children])
+    def relabel_tree(node: Tree, kids: tuple) -> Tree:
+        if not kids and node.label in g.nonterminals:
+            return node
+        return Tree(pi[node.label], kids)
 
     productions = weighted_productions(s, (
-        ((relabel_tree(p.lhs), p.target, p.eq, p.ineq), p.weight)
+        ((fold(p.lhs, relabel_tree, {}), p.target, p.eq, p.ineq), p.weight)
         for p in g.productions if p.target != er.sink))
     productions |= sink_productions(target_alphabet, er.sink, s.one)
     return Wtgc(g.nonterminals, target_alphabet, g.final, productions, s)

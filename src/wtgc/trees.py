@@ -8,6 +8,9 @@ digits are ambiguous above rank 9.
 Labels are plain strings.  Names matching ``x1, x2, ...`` are reserved
 for substitution variables; whether another label is an alphabet symbol
 or a nonterminal is decided by the surrounding grammar.
+
+Only `term_str` recurses.  `fold` is the one bottom-up rebuild of a
+whole tree: substitution, images, relabeling, normalization and ids.
 """
 
 from __future__ import annotations
@@ -231,29 +234,36 @@ def replace(t: Tree, at: dict) -> Tree:
     return t
 
 
-def substitute(t: Tree, theta: dict) -> Tree:
-    """Simultaneous substitution; labels outside theta stay fixed.
+def fold(t: Tree, f, done: dict):
+    """t's value, where a node's value is f(node, its children's values),
+    computed once per distinct node object, children first, on a stack.
 
-    The leaves labelled in theta are replaced.  Every other leaf is kept,
-    and every inner node is rebuilt bottom-up without recursion, once
-    per distinct node object.
+    `done` maps the ids of node objects already folded to their values;
+    a caller that keeps it across calls keeps those nodes alive too.  A
+    missing child value means "not folded yet", so f never returns None.
     """
-    done: dict = {}
+    get = done.get
+    value = get(id(t))
+    if value is not None:
+        return value
     stack = [t]
     while stack:
         node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        kids = node.children
-        missing = [c for c in kids if id(c) not in done]
-        if missing:
-            stack.extend(missing)
+        values = tuple(map(get, map(id, node.children)))
+        if None in values:
+            stack.extend(c for c in node.children if get(id(c)) is None)
             continue
         stack.pop()
-        done[id(node)] = (Tree(node.label, [done[id(c)] for c in kids])
-                          if kids else theta.get(node.label, node))
+        if id(node) not in done:  # a shared node may be pushed twice
+            done[id(node)] = f(node, values)
     return done[id(t)]
+
+
+def substitute(t: Tree, theta: dict) -> Tree:
+    """Simultaneous substitution by one `fold`: the leaves labelled in
+    theta are replaced, other leaves kept and inner nodes rebuilt."""
+    return fold(t, lambda node, kids: Tree(node.label, kids) if kids
+                else theta.get(node.label, node), {})
 
 
 def satisfies(t: Tree, constraint) -> bool:
@@ -277,18 +287,17 @@ def dissatisfies_all(t: Tree, constraints) -> bool:
 
 
 def compositions(total: int, parts: int):
-    """All ways to write total as an ordered sum of `parts` positive ints."""
+    """All ways to write total as an ordered sum of `parts` positive
+    ints, in lexicographic order of their parts - 1 cut points."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
+    if total < parts:
         return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 # per alphabet, the trees of each size and their serialized forms

@@ -49,3 +49,21 @@ def test_every_function_is_called_in_the_package():
             if not named.get(fn.name, set()) - own:
                 uncalled.add(f"{module}.{fn.name}")
     assert uncalled == set(UNCALLED)
+
+
+def test_only_term_str_calls_itself():
+    # deep trees must not cost a Python frame per level.  `term_str`
+    # still does: the benchmark's depth ladder runs it before reading
+    # peak memory, so an iterative printer would move that metric
+    recursive = set()
+    for path in Path(wtgc.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        methods = {id(fn) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or id(fn) in methods:
+                continue
+            if any(isinstance(node, ast.Name) and node.id == fn.name
+                   for node in ast.walk(fn)):
+                recursive.add(f"{path.stem}.{fn.name}")
+    assert recursive == {"trees.term_str"}

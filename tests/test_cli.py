@@ -56,6 +56,20 @@ def test_image_eval_power_of_three(capsys):
     assert out == "9\n"
 
 
+def test_image_eval_on_a_deep_tree(capsys, tmp_path):
+    # one preimage, 60,000 levels: more than the raised recursion limit
+    # allows at two frames per level
+    grammar, hom = tmp_path / "g.wtg", tmp_path / "h.hom"
+    grammar.write_text("semiring nat\nalphabet alpha:0 gamma:1\n"
+                       "nonterminals q\nfinal q = 1\n"
+                       "prod alpha -> q @ 1\nprod gamma(q) -> q @ 1\n")
+    hom.write_text("hom\nalpha -> alpha\ngamma -> gamma(x1)\n")
+    tree = "gamma(" * 60000 + "alpha" + ")" * 60000
+    code, out, _ = run(capsys, "image-eval", "--grammar", str(grammar),
+                       "--hom", str(hom), "--tree", tree)
+    assert (code, out) == (0, "1\n")
+
+
 def test_derivs_leftmost(capsys):
     code, out, _ = run(capsys, "derivs", "--grammar", fx("fx1.wtg"),
                        "--tree", "sigma(gamma(gamma(alpha)),gamma(alpha))")

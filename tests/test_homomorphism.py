@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from conftest import gammas, random_wta_and_hom, t
@@ -5,7 +7,7 @@ from wtgc.errors import HomomorphismError
 from wtgc.grammar import classify, eq_restriction, production_str
 from wtgc.homomorphism import (
     TreeHom,
-    annotated_symbol,
+    annotated_symbols,
     apply,
     hom_image_stage_one,
     image_grammar,
@@ -20,7 +22,14 @@ from wtgc.semantics import (
     incorporated,
 )
 from wtgc.transforms import complement_support, support_automaton
-from wtgc.trees import RankedAlphabet, Tree, enumerate_trees, leaf, term_str
+from wtgc.trees import (
+    RankedAlphabet,
+    Tree,
+    enumerate_trees,
+    leaf,
+    substitute,
+    term_str,
+)
 
 ALPHA = leaf("alpha")
 
@@ -44,6 +53,27 @@ def test_apply_merges_symbols(fx3_hom):
 def test_apply_rejects_unknown_symbol(fx3_hom):
     with pytest.raises(HomomorphismError):
         apply(fx3_hom, leaf("zeta"))
+
+
+def test_apply_rejects_wrong_arities(fx3_hom):
+    with pytest.raises(HomomorphismError, match="arity mismatch at 'gamma'"):
+        apply(fx3_hom, t("gamma", ALPHA, ALPHA))
+    with pytest.raises(HomomorphismError, match="arity mismatch at 'phi'"):
+        apply(fx3_hom, leaf("phi"))
+
+
+def test_deep_trees_need_no_recursion(fx2g):
+    ident = relabeling_hom(fx2g.alphabet, {}, fx2g.alphabet)
+    deep = gammas(20000, ALPHA)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert substitute(gammas(20000, leaf("x1")), {"x1": ALPHA}) == deep
+        assert apply(ident, deep) == deep
+        assert preimage(ident, deep) == [deep]
+        assert image_weight_oracle(ident, fx2g, deep) == 40000
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @pytest.mark.parametrize("index", ["3", "10", "1" * 5000],
@@ -163,7 +193,8 @@ def annotated_image(g, h, tree, d):
         return Tree(node.label, [build(c) for c in node.children])
 
     body = build(u)
-    return Tree(annotated_symbol(u.label, g.prod_id(p)), body.children)
+    return Tree(annotated_symbols(g, h)[u.label, g.prod_id(p)],
+                body.children)
 
 
 def test_stage_one_accepts_exactly_the_annotated_images(fx3, fx3_hom):
@@ -225,6 +256,22 @@ def test_random_images_match_the_oracles():
                 assert evaluate(out, u) == expected(w), (seed, term_str(u))
             nonzero += w != 0
     assert nonzero == 1066
+
+
+@pytest.mark.parametrize("symbol, rhs", [
+    ("g#1", {"epsilon": t("g#1", leaf("x1"))}),
+    ("gamma#p2", {"phi": t("sigma", t("gamma#p2", leaf("x1")), leaf("x1"))}),
+], ids=["g#1", "gamma#p2"])
+def test_images_over_target_symbols_holding_hash(fx3, fx3_hom, symbol, rhs):
+    # `gamma#p2` also spells gamma's copy annotated with fx3's p2, and
+    # the relabeling read `g#1` as an annotated `g`
+    target = RankedAlphabet({**dict(fx3_hom.target.symbols()), symbol: 1})
+    h = TreeHom(fx3.alphabet, target, {**fx3_hom.rhs, **rhs})
+    image = image_grammar(fx3, h)
+    assert image.alphabet == target
+    for u in enumerate_trees(target, 6):
+        assert evaluate(image, u) == image_weight_oracle(h, fx3, u), \
+            term_str(u)
 
 
 def test_image_grammar_rejects_constrained_input(fx1, fx3_hom):

@@ -15,8 +15,10 @@ from wtgc.errors import InvalidPositionError
 from wtgc.trees import (
     RankedAlphabet,
     Tree,
+    compositions,
     dissatisfies_all,
     enumerate_trees,
+    fold,
     leaf,
     parse_pos,
     pos_str,
@@ -111,6 +113,54 @@ def test_substitute_without_recursion():
     out = substitute(shared, {"x1": t("gamma", ALPHA)})
     assert out.size == 2 ** 60 * 3 - 1
     assert out.children[0] is out.children[1]
+
+
+def test_fold_calls_f_once_per_node_object_children_first():
+    shared = t("gamma", ALPHA)
+    tree = t("sigma", shared, t("gamma", shared))
+    calls = []
+
+    def size(node, values):
+        calls.append(node)
+        return 1 + sum(values)
+
+    assert fold(tree, size, {}) == tree.size == 6
+    order = {id(node): i for i, node in enumerate(calls)}
+    assert len(order) == len(calls) == 4  # six nodes, four objects
+    assert all(order[id(c)] < order[id(node)]
+               for node in calls for c in node.children)
+    # a value already in `done` is taken as it is, and its node's
+    # subtree is not walked again
+    calls.clear()
+    done = {id(shared): 10}
+    assert fold(tree, size, done) == 1 + 10 + 11
+    assert [id(node) for node in calls] == [id(tree.children[1]), id(tree)]
+    assert done[id(tree)] == 22
+
+
+def _compositions_by_first_part(total, parts):
+    """The recursive definition the iterative one replaced."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions_by_first_part(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_keep_their_order():
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(0, 1)) == []
+    for total in range(12):
+        for parts in range(6):
+            assert list(compositions(total, parts)) \
+                == list(_compositions_by_first_part(total, parts)), \
+                (total, parts)
 
 
 def test_deep_trees_compare_without_recursion():
