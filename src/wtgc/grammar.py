@@ -243,9 +243,12 @@ def validate(g: Wtgc) -> list[str]:
                     stack.extend(reversed(node.children))
                 else:
                     found.append(f"undeclared label {node.label!r}")
-            if (p.eq or p.ineq) and any(
-                    i < 1 for pair in p.eq | p.ineq for w in pair for i in w):
-                found.append("constraint position component below 1")
+            if p.eq or p.ineq:
+                parts = [i for pair in p.eq | p.ineq for w in pair for i in w]
+                if any(type(i) is not int for i in parts):
+                    found.append("constraint position component not an int")
+                elif any(i < 1 for i in parts):
+                    found.append("constraint position component below 1")
             if p.target not in g.nonterminals:
                 found.append(f"undeclared target {p.target!r}")
             if not s.contains(p.weight):

@@ -1,18 +1,24 @@
 """Commutative semirings and semiring homomorphisms.
 
-Five weight structures are shipped: the Boolean semiring, the residues
-mod m, and three instances of `NaturalsSemiring`: the nonnegative
-integers (+, *), the tropical semiring (min, +) and the arctic semiring
-(max, +), which differ only in their constants and builtin operations.
-All carriers are exact; the only non-integer values are the two
-infinities used as absorbing zeros by the tropical and arctic instances,
-so element comparison is plain ``==`` throughout.
+One class, `Semiring`, describes every weight structure: its name, zero
+and one, ``add`` and ``mul``, its carrier and the two structural flags
+(zero-sum and zero-divisor freeness) that the support constructions
+branch on.  A finite carrier is listed by ``elements``; any other is the
+naturals, plus the zero when that zero is an infinity.  Literals are
+ASCII digit strings naming carrier elements (leading zeros allowed) and
+the spelling of an infinite zero; a carrier of other values needs a
+subclass that overrides `contains` and `parse`.
+
+Five structures are shipped: the Boolean semiring, the naturals (+, *),
+the tropical (min, +) and arctic (max, +) semirings and the residues
+mod m (`IntegersMod`).  The only non-integer elements are the tropical
+and arctic zeros, two infinities, so element comparison is plain ``==``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, and_, mul, or_
 from typing import Callable
 
 from .errors import SemiringError
@@ -23,36 +29,39 @@ NEG_INF = float("-inf")
 
 
 class Semiring:
-    """A commutative semiring together with carrier bookkeeping.
+    """A commutative semiring: ``elements`` lists a finite carrier (a
+    tuple or a range), and ``sample`` the elements that law checks use,
+    by default all of a finite carrier."""
 
-    Subclasses provide ``add``/``mul``, the constants ``zero``/``one``,
-    the structural flags, and literal parsing/formatting for the grammar
-    file format.
-    """
-
-    name = "abstract"
-    zero = None
-    one = None
-    zero_sum_free = False
-    zero_divisor_free = False
-    finite = False
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
+    def __init__(self, name: str, zero, one, add: Callable, mul: Callable,
+                 elements=None, sample=None, zero_sum_free: bool = True,
+                 zero_divisor_free: bool = True):
+        self.name = name
+        self.zero = zero
+        self.one = one
+        self.add = add
+        self.mul = mul
+        self._elements = elements
+        self._sample = sample
+        self.finite = elements is not None
+        self.zero_sum_free = zero_sum_free
+        self.zero_divisor_free = zero_divisor_free
 
     def contains(self, a) -> bool:
-        raise NotImplementedError
+        if not isinstance(a, int):
+            # an adjoined infinite zero is the only element outside N
+            return a == self.zero != 0
+        return a in self._elements if self.finite else a >= 0
 
     def elements(self):
         """All carrier elements; only available for finite instances."""
-        raise SemiringError(f"{self.name} has an infinite carrier")
+        if not self.finite:
+            raise SemiringError(f"{self.name} has an infinite carrier")
+        return tuple(self._elements)
 
     def sample(self):
         """Deterministic elements used by law checks on infinite carriers."""
-        return self.elements()
+        return self.elements() if self._sample is None else self._sample
 
     def sum(self, items):
         total = self.zero
@@ -90,7 +99,12 @@ class Semiring:
         return first, i - first
 
     def parse(self, text: str):
-        raise NotImplementedError
+        if is_decimal(text):
+            if self.contains(int(text)):
+                return int(text)
+        elif text == self.format(self.zero):
+            return self.zero
+        raise SemiringError(f"bad {self.name} literal {text!r}")
 
     def format(self, a) -> str:
         """The literal `parse` reads back as a; a bool is spelled as its
@@ -107,69 +121,7 @@ class Semiring:
         return f"<semiring {self.name}>"
 
 
-class BooleanSemiring(Semiring):
-    name = "boolean"
-    zero = 0
-    one = 1
-    zero_sum_free = True
-    zero_divisor_free = True
-    finite = True
-
-    def add(self, a, b):
-        return a | b
-
-    def mul(self, a, b):
-        return a & b
-
-    def contains(self, a):
-        return isinstance(a, int) and a in (0, 1)
-
-    def elements(self):
-        return (0, 1)
-
-    def parse(self, text):
-        if text in ("0", "1"):
-            return int(text)
-        raise SemiringError(f"bad boolean literal {text!r}")
-
-
-class NaturalsSemiring(Semiring):
-    """A semiring on the naturals, possibly with an infinite zero
-    adjoined: `nat` is (N, +, *), `tropical` is (N u {inf}, min, +) and
-    `arctic` is (N u {-inf}, max, +).  The operations are builtins, and
-    the adjoined zero is the only literal that is not a digit string."""
-
-    zero_sum_free = True
-    zero_divisor_free = True
-
-    def __init__(self, name, zero, one, sample, add, mul):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self._sample = sample
-        self.add = add
-        self.mul = mul
-
-    def contains(self, a):
-        if isinstance(a, int):
-            return a >= 0
-        # an adjoined infinite zero is the only element outside N
-        return self.zero != 0 and a == self.zero
-
-    def sample(self):
-        return self._sample
-
-    def parse(self, text):
-        if is_decimal(text):
-            return int(text)
-        if text == self.format(self.zero):
-            return self.zero
-        raise SemiringError(f"bad {self.name} literal {text!r}")
-
-
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
     d = 2
     while d * d <= m:
         if m % d == 0:
@@ -182,41 +134,25 @@ class IntegersMod(Semiring):
     """The residues mod m; for composite m neither zero-sum nor
     zero-divisor free, which makes it the stock source of anomalies."""
 
-    finite = True
-    zero = 0
-    one = 1
-    zero_sum_free = False
-
     def __init__(self, modulus: int):
         if modulus < 2:
             raise SemiringError("zmod needs a modulus >= 2")
         self.modulus = modulus
-        self.name = f"zmod {modulus}"
-        self.zero_divisor_free = _is_prime(modulus)
+        super().__init__(f"zmod {modulus}", 0, 1,
+                         lambda a, b: (a + b) % modulus,
+                         lambda a, b: (a * b) % modulus,
+                         elements=range(modulus), zero_sum_free=False,
+                         zero_divisor_free=_is_prime(modulus))
 
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def contains(self, a):
-        return isinstance(a, int) and 0 <= a < self.modulus
-
-    def elements(self):
-        return tuple(range(self.modulus))
-
-    def parse(self, text):
-        if is_decimal(text) and int(text) < self.modulus:
-            return int(text)
-        raise SemiringError(f"bad zmod {self.modulus} literal {text!r}")
+    def __reduce__(self):  # the operations are closures
+        return IntegersMod, (self.modulus,)
 
 
-BOOLEAN = BooleanSemiring()
-NATURAL = NaturalsSemiring("nat", 0, 1, (0, 1, 2, 3, 5, 7), add, mul)
-TROPICAL = NaturalsSemiring("tropical", INF, 0, (INF, 0, 1, 2, 5), min, add)
-ARCTIC = NaturalsSemiring("arctic", NEG_INF, 0, (NEG_INF, 0, 1, 2, 5), max,
-                          add)
+BOOLEAN = Semiring("boolean", 0, 1, or_, and_, elements=(0, 1))
+NATURAL = Semiring("nat", 0, 1, add, mul, sample=(0, 1, 2, 3, 5, 7))
+TROPICAL = Semiring("tropical", INF, 0, min, add, sample=(INF, 0, 1, 2, 5))
+ARCTIC = Semiring("arctic", NEG_INF, 0, max, add,
+                  sample=(NEG_INF, 0, 1, 2, 5))
 _FIXED = {s.name: s for s in (BOOLEAN, NATURAL, TROPICAL, ARCTIC)}
 
 
@@ -242,14 +178,14 @@ class SemiringHom:
         return self.fn(a)
 
     def check(self) -> None:
-        """Verify the homomorphism laws on samples (exhaustive for finite
-        carriers); raises on the first violation."""
+        """Verify the homomorphism laws on the source's sample (all its
+        elements when finite); raises on the first violation."""
         src, tgt, h = self.source, self.target, self.fn
         if h(src.zero) != tgt.zero:
             raise SemiringError("hom does not map zero to zero")
         if h(src.one) != tgt.one:
             raise SemiringError("hom does not map one to one")
-        pool = src.elements() if src.finite else src.sample()
+        pool = src.sample()
         for a in pool:
             for b in pool:
                 if h(src.add(a, b)) != tgt.add(h(a), h(b)):

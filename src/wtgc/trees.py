@@ -55,7 +55,7 @@ class RankedAlphabet:
         for name, rank in items:
             if not valid_name(name) or is_variable(name):
                 raise TreeError(f"bad symbol name {name!r}")
-            if not isinstance(rank, int) or rank < 0:
+            if type(rank) is not int or rank < 0:  # a bool would not read back
                 raise TreeError(f"bad rank for {name!r}")
         self._items = items
         self._ranks = dict(items)

@@ -101,6 +101,20 @@ def test_validate_diagnostics():
                                    [((0,), (2,))])], NATURAL,
          "sigma(q,q) -> q [eq 0=2] @ 1: constraint position component "
          "below 1"),
+        # components that the writer spells but the reader rejects, or
+        # that no tree position can use
+        ({"q"}, {}, [a, Production(t("sigma", leaf("q"), leaf("q")), "q", 1,
+                                   [((True,), (2,))])], NATURAL,
+         "sigma(q,q) -> q [eq True=2] @ 1: constraint position component "
+         "not an int"),
+        ({"q"}, {}, [a, Production(t("sigma", leaf("q"), leaf("q")), "q", 1,
+                                   [], [((1.0,), (2,))])], NATURAL,
+         "sigma(q,q) -> q [ne 1.0=2] @ 1: constraint position component "
+         "not an int"),
+        ({"q"}, {}, [a, Production(t("sigma", leaf("q"), leaf("q")), "q", 1,
+                                   [("1", "2")])], NATURAL,
+         "sigma(q,q) -> q [eq 1=2] @ 1: constraint position component "
+         "not an int"),
         ({"q"}, {}, [Production(leaf("alpha"), "r", 1)], NATURAL,
          "alpha -> r @ 1: undeclared target 'r'"),
         ({"q"}, {}, [Production(leaf("alpha"), "q", 2.5)], NATURAL,

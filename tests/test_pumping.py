@@ -21,7 +21,7 @@ from wtgc.semantics import (
     evaluate,
     replay_derivation,
 )
-from wtgc.semiring import NATURAL
+from wtgc.semiring import NATURAL, IntegersMod
 from wtgc.syntax import parse_term
 from wtgc.transforms import eliminate_zero_derivations
 from wtgc.trees import (
@@ -323,3 +323,32 @@ def test_separation_family_accepted(fx5):
 def test_separation_family_needs_positive_index():
     with pytest.raises(PumpError):
         separation_family(0)
+
+
+def test_pump_checks_its_preconditions():
+    # the grammar of test_search_pump_base, over zmod 4 with weight 2 on
+    # q, so that gamma-steps multiply to zero
+    alphabet = RankedAlphabet({"a": 0, "g": 1})
+    plain = [Production(leaf("a"), "q", 2),
+             Production(t("g", leaf("q")), "q", 2)]
+    sink = [Production(leaf("a"), "bot", 1),
+            Production(t("g", leaf("bot")), "bot", 1)]
+    zmod4 = IntegersMod(4)
+    g = Wtgc({"q", "bot"}, alphabet, {"q": 1}, plain + sink, zmod4)
+    tall = parse_term("g(g(g(g(a))))", alphabet)
+    other = parse_term("g(g(g(g(g(a)))))", alphabet)
+    (d,) = derivations(g, tall, "q")
+    (to_sink,) = derivations(g, tall, "bot")
+    loose = Wtgc({"q"}, alphabet, {"q": 1}, plain, zmod4)
+    (loose_d,) = derivations(loose, tall, "q")
+    cases = [
+        (loose, loose_d, "pumping needs an eq-restricted grammar"),
+        (g, to_sink, "cannot pump a sink derivation"),
+        (g, derivations(g, other, "q")[0],
+         "the derivation does not replay on the given tree"),
+        (g, d, "cannot pump a zero-weight derivation"),
+    ]
+    for grammar, derivation, message in cases:
+        with pytest.raises(PumpError) as info:
+            pump(grammar, tall, derivation, 1)
+        assert str(info.value) == message

@@ -10,6 +10,7 @@ from wtgc.semiring import (
     NEG_INF,
     TROPICAL,
     IntegersMod,
+    Semiring,
     semiring_from_name,
     support_hom,
 )
@@ -248,3 +249,86 @@ def test_api_weights_read_back():
             assert parse_grammar(text) == g
         for a in (True, False):
             assert s.contains(a) and s.parse(s.format(a)) == a
+
+
+def test_semiring_errors():
+    # each error of the module, with its whole message
+    from wtgc.errors import ParseError
+    from wtgc.semiring import SemiringHom
+    from wtgc.syntax import parse_grammar
+
+    cases = [
+        (lambda: IntegersMod(1), "zmod needs a modulus >= 2"),
+        (lambda: parse_grammar("semiring zmod 1\nalphabet a:0\n"),
+         "zmod needs a modulus >= 2 at line 1"),
+        (lambda: support_hom(IntegersMod(5)), "zmod 5 is not zero-sum free"),
+        (lambda: NATURAL.power(2, -1), "negative exponent"),
+        (lambda: NATURAL.elements(), "nat has an infinite carrier"),
+        (SemiringHom(NATURAL, BOOLEAN, lambda a: 1).check,
+         "hom does not map zero to zero"),
+        (SemiringHom(NATURAL, BOOLEAN, lambda a: 0).check,
+         "hom does not map one to one"),
+        # 1 + 1 = 2 goes to 0, but 1 or 1 is 1
+        (SemiringHom(NATURAL, BOOLEAN, lambda a: a if a < 2 else 0).check,
+         "hom breaks + on (1, 1)"),
+        # squaring keeps min, inf and 0, but (1 + 1)^2 is not 1^2 + 1^2
+        (SemiringHom(TROPICAL, TROPICAL, lambda a: a * a).check,
+         "hom breaks * on (1, 1)"),
+    ]
+    for call, message in cases:
+        with pytest.raises((SemiringError, ParseError)) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("s", ALL[:4] + tuple(IntegersMod(m)
+                                                for m in (2, 4, 5)),
+                         ids=lambda s: s.name)
+def test_semirings_survive_pickle_and_copy(s):
+    import copy
+    import pickle
+
+    for again in (pickle.loads(pickle.dumps(s)), copy.copy(s),
+                  copy.deepcopy(s)):
+        assert again == s and type(again) is type(s)
+        assert (again.zero, again.one, again.finite, again.zero_sum_free,
+                again.zero_divisor_free) == (s.zero, s.one, s.finite,
+                                             s.zero_sum_free,
+                                             s.zero_divisor_free)
+        assert again.sample() == s.sample()
+        for a in s.sample():
+            assert again.contains(a) and again.parse(s.format(a)) == a
+            for b in s.sample():
+                assert again.add(a, b) == s.add(a, b)
+                assert again.mul(a, b) == s.mul(a, b)
+
+
+def test_boolean_literals_follow_the_digit_rule():
+    assert BOOLEAN.parse("01") == 1 and BOOLEAN.parse("000") == 0
+    assert type(BOOLEAN.parse("01")) is int
+    for text in ("2", "+1", "٤", "inf", "", "true"):
+        with pytest.raises(SemiringError) as info:
+            BOOLEAN.parse(text)
+        assert str(info.value) == f"bad boolean literal {text!r}"
+
+
+def test_a_semiring_is_built_from_its_parts():
+    # the tropical semiring under another name: its carrier test,
+    # literals and flags come from the constructor alone
+    from operator import add
+
+    s = Semiring("minplus", INF, 0, min, add, sample=(INF, 0, 3))
+    assert s.contains(INF) and s.contains(4) and not s.contains(-INF)
+    assert not s.finite and s.sample() == (INF, 0, 3)
+    assert s.parse("inf") == INF and s.parse("07") == 7
+    assert s.zero_sum_free and s.zero_divisor_free
+    assert support_hom(s)(INF) == 0
+    with pytest.raises(SemiringError, match="infinite carrier"):
+        s.power_profile(3)
+    # flags are taken as given
+    finite = Semiring("two", 0, 1, max, min, elements=range(2),
+                      zero_sum_free=False)
+    assert finite.finite and finite.elements() == (0, 1)
+    assert finite.sample() == (0, 1) and not finite.contains(2)
+    with pytest.raises(SemiringError, match="^two is not zero-sum free$"):
+        support_hom(finite)

@@ -165,6 +165,7 @@ def test_missing_weight():
     ("alphabet a:0", ["alphabet a:1"],
      "duplicate alphabet symbol 'a' at line 4"),
     ("alphabet a:0 a:1", [], "duplicate alphabet symbol 'a' at line 2"),
+    ("alphabet a:0", ["semiring nat"], "duplicate semiring line at line 4"),
 ])
 def test_duplicate_entries_are_rejected(header, entries, message):
     text = "\n".join(["semiring nat", header, "nonterminals q", *entries,
@@ -172,6 +173,41 @@ def test_duplicate_entries_are_rejected(header, entries, message):
     with pytest.raises(ParseError) as info:
         parse_grammar(text)
     assert str(info.value) == message
+
+
+# every other message of the grammar reader, in full; messages that
+# the reader only passes on from the library carry no line
+@pytest.mark.parametrize("lines, message", [
+    (["alphabet a:0", "nonterminals q", "prod a -> q @ 1"],
+     "missing semiring line"),
+    (["semiring nat", "alphabet a f:2"], "bad alphabet entry 'a' at line 2"),
+    (["semiring nat", "alphabet a:0", "nonterminals q", "final q 1"],
+     "bad final line at line 4"),
+    (["semiring nat", "alphabet a:0", "nonterminals q", "final r = 1"],
+     "final weight for unknown nonterminal 'r' at line 4"),
+    (["semiring nat", "alphabet a:0", "nonterminals q", "prod a q @ 1"],
+     "production needs `->` at line 4"),
+    (["semiring nat", "alphabet a:0", "nonterminals q r",
+      "prod a -> q r @ 1"], "bad target 'q r' at line 4"),
+    (["semiring nat", "alphabet a:0 f:2", "nonterminals q",
+      "prod f(q,q) -> q [eq 1 2] @ 1"], "bad constraint '1 2' at line 4"),
+    (["semiring nat", "alphabet a:0 x1:0", "nonterminals q",
+      "prod a -> q @ 1"], "bad symbol name 'x1'"),
+    (["semiring nat", "alphabet a:0 q:0", "nonterminals q",
+      "prod a -> q @ 1"], "name 'q' is both a nonterminal and a symbol"),
+])
+def test_grammar_reader_messages(lines, message):
+    with pytest.raises(ParseError) as info:
+        parse_grammar("\n".join(lines))
+    assert str(info.value) == message
+
+
+def test_parse_term_variable_with_children():
+    # only a term that allows variables reaches this check
+    with pytest.raises(ParseError) as info:
+        parse_term("sigma(x1(alpha),alpha)", ABC, allow_variables=True,
+                   line=2)
+    assert str(info.value) == "variable 'x1' with children at line 2"
 
 
 # numeric literals are ASCII digit strings: `str.isdigit` also takes
@@ -186,6 +222,10 @@ def test_duplicate_entries_are_rejected(header, entries, message):
     ("tropical", "a:0", "prod a -> q @ \u0661", "bad tropical literal"),
     ("arctic", "a:0", "prod a -> q @ \u00b9", "bad arctic literal"),
     ("zmod 5", "a:0", "prod a -> q @ \u0664", "bad zmod 5 literal"),
+    ("boolean", "a:0", "prod a -> q @ \u0661", "bad boolean literal"),
+    ("boolean", "a:0", "final q = +1", "bad boolean literal"),
+    ("boolean", "a:0", "prod a -> q @ 2", "bad boolean literal"),
+    ("boolean", "a:0", "final q = inf", "bad boolean literal"),
     ("nat", "a:0 f:2", "prod f(q,q) -> q [eq +1=2] @ 1", "bad constraint"),
     ("nat", "a:0 f:2", "prod f(q,q) -> q [eq 1_0=2] @ 1", "bad constraint"),
     ("nat", "a:0 f:2", "prod f(q,q) -> q [ne 1. 2=2] @ 1",
@@ -385,6 +425,20 @@ def test_hom_round_trip_with_hash_in_names():
 def test_hom_requires_header():
     with pytest.raises(ParseError, match="hom"):
         parse_hom("alpha -> alpha")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "homomorphism files start with `hom`"),
+    ("# only a comment\n", "homomorphism files start with `hom`"),
+    ("hom\nalpha alpha\n", "homomorphism rule needs `->` at line 2"),
+    ("hom\nx1 -> alpha\n", "bad source symbol 'x1' at line 2"),
+    ("hom\n\nalpha -> alpha\nalpha -> beta\n",
+     "duplicate rule for 'alpha' at line 4"),
+])
+def test_hom_reader_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_hom(text)
+    assert str(info.value) == message
 
 
 def test_hom_infers_alphabets():

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
+from operator import and_, or_
 
 import pytest
 
@@ -39,7 +40,8 @@ from wtgc.semantics import (
     evaluate,
     state_weight,
 )
-from wtgc.semiring import ARCTIC, BOOLEAN, NATURAL, IntegersMod, support_hom
+from wtgc.semiring import (ARCTIC, BOOLEAN, NATURAL, IntegersMod, Semiring,
+                           support_hom)
 from wtgc.syntax import parse_grammar, serialize_grammar
 from wtgc.transforms import (
     boolean_finals,
@@ -285,11 +287,11 @@ def test_support_grammar_needs_zero_sum_freeness(fx6):
 
 
 def test_support_grammar_needs_zero_divisor_freeness():
-    class Flagless(type(BOOLEAN)):  # a descriptor lacking the flag
-        zero_divisor_free = False
-
+    # a descriptor lacking the flag
+    flagless = Semiring("boolean", 0, 1, or_, and_, elements=(0, 1),
+                        zero_divisor_free=False)
     g = Wtgc({"q"}, RankedAlphabet({"alpha": 0}), {"q": 1},
-             [Production(ALPHA, "q", 1)], Flagless())
+             [Production(ALPHA, "q", 1)], flagless)
     with pytest.raises(TransformError, match="not zero-divisor free"):
         support_grammar(g)
 

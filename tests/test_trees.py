@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import gammas, t
 import wtgc
-from wtgc.errors import InvalidPositionError
+from wtgc.errors import InvalidPositionError, TreeError
 from wtgc.trees import (
     RankedAlphabet,
     Tree,
@@ -276,6 +276,14 @@ def test_parse_pos_takes_ascii_decimal_components_only(text):
     # `int` alone reads "+1" as 1, "1_0" as 10 and " 2" as 2
     with pytest.raises(InvalidPositionError):
         parse_pos(text)
+
+
+@pytest.mark.parametrize("rank", [-1, True, False, 1.0, "1", None])
+def test_alphabet_rejects_ranks_that_are_not_ints(rank):
+    # a bool rank would be written as `a:False`, which the reader rejects
+    with pytest.raises(TreeError) as info:
+        RankedAlphabet({"a": 0, "f": rank})
+    assert str(info.value) == "bad rank for 'f'"
 
 
 def test_enumerate_trees_canonical():
