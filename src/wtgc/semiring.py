@@ -60,7 +60,7 @@ class Semiring:
         return tuple(self._elements)
 
     def sample(self):
-        """Deterministic elements used by law checks on infinite carriers."""
+        """The elements law checks use: the given sample, else all."""
         return self.elements() if self._sample is None else self._sample
 
     def sum(self, items):
