@@ -1,19 +1,18 @@
 """Emptiness and finiteness of the support.
 
 Both procedures work on eq-restricted positive classic grammars over
-zero-sum free (and, for the shipped Boolean mapping, zero-divisor free)
-semirings.  After eliminating zero-weight derivations, a tree is in the
-support exactly when some final-supported nonterminal derives it.  The
-elimination keeps only the nonterminals its bottom-up fixpoint reaches,
-so each of them derives some tree, and emptiness is read off the
-eliminated grammar: the support is empty iff none of its nonterminals
-has a nonzero final weight.  Constraint satisfiability never enters the
-fixpoint: every equality class is one governing child plus sink copies,
-and the sink derives every tree, so any choice of governing subtrees
-extends to a constraint-satisfying tree.
+zero-sum free and zero-divisor free semirings, where no sum or product
+of nonzero weights is zero: a tree is in the support exactly when it
+derives to a final-supported nonterminal.  Constraints never block
+that: every equality class is one governing child plus sink copies, and
+the sink derives every tree, so any choice of governing subtrees
+extends to a constraint-satisfying tree.  Both read the input's
+`transforms.productivity` table, whose useful nonterminals (reachable
+from the productive finals) are exactly those that some tree of the
+support passes through; the support is empty iff there are none.
 
-Finiteness is a cycle check on the nonterminal dependency graph; a
-useful production whose equality class is governed by the sink itself
+Finiteness is a cycle check on the dependency graph of the useful
+productions; one whose equality class is governed by the sink itself
 makes the support infinite outright, since that slot holds arbitrary
 trees.
 """
@@ -26,9 +25,8 @@ from operator import attrgetter, itemgetter
 
 from .errors import DecisionError
 from .grammar import Wtgc, classify, eq_restriction
-from .pumping import ensure_nonbot_child
 from .semantics import weight_map
-from .transforms import eliminate_zero_derivations, productivity
+from .transforms import productivity
 from .trees import Tree, compositions, enumerate_trees
 
 
@@ -49,7 +47,7 @@ def _require_decidable(g: Wtgc):
 def is_support_empty(g: Wtgc) -> bool:
     """True iff the grammar assigns a nonzero weight to no tree at all."""
     _require_decidable(g)
-    return not eliminate_zero_derivations(g).final_support()
+    return not productivity(g).reachable
 
 
 def is_support_finite(g: Wtgc) -> bool:
@@ -60,31 +58,21 @@ def is_support_finite(g: Wtgc) -> bool:
 def finiteness_analysis(g: Wtgc) -> tuple[bool, str]:
     """The finiteness verdict together with a one-line explanation
     (the detected cycle, the free sink slot, or the absence of both)."""
-    _require_decidable(g)
-    h = eliminate_zero_derivations(ensure_nonbot_child(g))
-    er = eq_restriction(h)
-    if er is None:
-        raise DecisionError("preprocessing lost the eq-restriction")
+    er = _require_decidable(g)
     sink = er.sink
-    # every nonterminal of h is productive, so the useful ones are the
-    # reachable ones
-    useful = productivity(h).reachable
-
-    grows = g.alphabet.max_rank() >= 1
+    useful = productivity(g).reachable
     edges: dict[str, set] = {}
-    for p in h.productions:
-        if p.target == sink or p.target not in useful:
+    for p in g.productions:
+        dec = g.decompose(p)
+        if p.target == sink or not useful.issuperset((p.target, *dec.states)):
             continue
-        dec = h.decompose(p)
-        gp = er.governing[p]
         for i, state in enumerate(dec.states, start=1):
-            if state == sink:
-                if grows and dec.states[gp[i] - 1] == sink:
-                    # a sink-governed slot holds arbitrary trees
-                    return False, (f"sink-governed slot in a production "
-                                   f"for {p.target}")
-            elif state in useful:
+            if state != sink:
                 edges.setdefault(state, set()).add(p.target)
+            elif dec.states[er.governing[p][i] - 1] == sink:
+                # a sink-governed slot holds arbitrary trees
+                return False, (f"sink-governed slot in a production "
+                               f"for {p.target}")
 
     # depth-first search in sorted order with an explicit stack: `path`
     # holds the grey nodes, `todo` their unexplored successors

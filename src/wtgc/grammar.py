@@ -35,19 +35,26 @@ _EMPTY = frozenset()  # shared by every production without constraints
 def make_constraints(pairs) -> frozenset:
     """Canonicalize a collection of position pairs: each pair ordered,
     the collection a frozenset.  Satisfaction is symmetric, so nothing
-    observable is lost; a canonical frozenset comes back as it is."""
+    observable is lost; a canonical frozenset comes back as it is.  A
+    pair that is not two comparable sequences raises `GrammarError`."""
     if not pairs:
         return _EMPTY
     if type(pairs) is frozenset:
-        for v, w in pairs:
-            if type(v) is not tuple or type(w) is not tuple or w < v:
-                break
-        else:
-            return pairs
+        try:
+            for v, w in pairs:
+                if type(v) is not tuple or type(w) is not tuple or w < v:
+                    break
+            else:
+                return pairs
+        except (TypeError, ValueError):
+            pass  # reported below, with the pair
     out = set()
-    for v, w in pairs:
-        v, w = tuple(v), tuple(w)
-        out.add((v, w) if v <= w else (w, v))
+    for pair in pairs:
+        try:
+            v, w = map(tuple, pair)
+            out.add((v, w) if v <= w else (w, v))
+        except (TypeError, ValueError):
+            raise GrammarError(f"bad constraint pair {pair!r}") from None
     return frozenset(out)
 
 
@@ -80,11 +87,7 @@ class Production:
                             self.ineq)
 
     def constrained_positions(self):
-        out = set()
-        for v, w in self.eq | self.ineq:
-            out.add(v)
-            out.add(w)
-        return out
+        return {v for pair in self.eq | self.ineq for v in pair}
 
 
 @dataclass(frozen=True)

@@ -242,16 +242,13 @@ class WeightMap:
 
     def _intern(self, node: Tree, ch: tuple) -> int:
         self._alive.append(node)
-        return self._node_id(node.label, ch)
-
-    def _node_id(self, label, ch) -> int:
-        key = (label, ch)
+        key = (node.label, ch)
         c = self._ids.get(key)
         if c is None:
             c = self._ids[key] = len(self.keys)
             self.keys.append(key)
             self.vectors.append(
-                self._vector(self._bucket(label, len(ch)), ch, c))
+                self._vector(self._bucket(node.label, len(ch)), ch, c))
         return c
 
     # -- weights --------------------------------------------------------------
@@ -357,7 +354,7 @@ class WeightMap:
         bucket = (self._buckets.get((t.label, len(ch)))
                   or self._bucket(t.label, len(ch)))
         if not bucket.plain:
-            return self.vectors[self._node_id(t.label, ch)]
+            return self.vectors[self._cid(t)]
         vec = bucket.memo.get(tuple(map(id, map(self.vectors.__getitem__,
                                                 ch))))
         return self._vector(bucket, ch, None) if vec is None else vec

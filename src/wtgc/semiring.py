@@ -111,8 +111,13 @@ class Semiring:
         int, which every carrier that holds it holds too."""
         return str(int(a)) if type(a) is bool else str(a)
 
+    def _key(self):
+        return (self.name, self.zero, self.one,
+                self.elements() if self.finite else None,
+                self.zero_sum_free, self.zero_divisor_free)
+
     def __eq__(self, other):
-        return isinstance(other, Semiring) and self.name == other.name
+        return isinstance(other, Semiring) and self._key() == other._key()
 
     def __hash__(self):
         return hash(self.name)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .errors import InvalidPositionError, ParseError
+from .errors import GrammarError, InvalidPositionError, ParseError, WtgcError
 from .grammar import Production, Wtgc
 from .homomorphism import TreeHom
 from .semiring import Semiring, semiring_from_name
@@ -259,6 +259,13 @@ def parse_grammar(text: str) -> Wtgc:
 
 
 def serialize_grammar(g: Wtgc) -> str:
+    """The text `parse_grammar` reads back as g, else `GrammarError`."""
+    try:
+        known = semiring_from_name(g.semiring.name) == g.semiring
+    except WtgcError:
+        known = False
+    if not known:
+        raise GrammarError(f"semiring {g.semiring.name!r} would not read back")
     lines = [f"semiring {g.semiring.name}"]
     lines.append("alphabet " + " ".join(f"{n}:{r}"
                                         for n, r in g.alphabet.symbols()))

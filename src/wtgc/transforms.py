@@ -118,8 +118,8 @@ class ProductivityTable:
 
 def productivity(g: Wtgc) -> ProductivityTable:
     """Least fixpoint of `all decomposed children productive`, and the
-    nonterminals reachable from the final support through productions
-    with productive children."""
+    useful nonterminals: those reachable from the productive finals
+    through productions with productive children."""
     decs = {p: g.decompose(p) for p in g.productions}
     productive = saturate({p: dec.states for p, dec in decs.items()},
                           lambda p, _: ((p.target, True),))
@@ -127,7 +127,7 @@ def productivity(g: Wtgc) -> ProductivityTable:
     for p, dec in decs.items():
         if all(state in productive for state in dec.states):
             below.setdefault(p.target, set()).update(dec.states)
-    reachable = set(g.final_support())
+    reachable = productive.keys() & g.final_support()
     todo = list(reachable)
     while todo:
         for state in below.get(todo.pop(), ()):

@@ -406,6 +406,34 @@ def test_relabel_entry_for_a_missing_symbol_is_rejected(capsys, tmp_path):
             2, "", "error: symbol 'zz' is not in the alphabet\n"), extra
 
 
+
+def test_relabel_entry_without_equals_is_rejected(capsys):
+    code, out, err = run(capsys, "transform", "relabel", "--grammar",
+                         fx("fx4.wtg"), "--map", "f")
+    assert (code, out, err) == (
+        2, "", "error: bad relabel entry 'f' (want old=new)\n")
+
+
+def test_oracle_battery_reports_a_missing_fixture(capsys, tmp_path):
+    for path in FIXTURES.glob("*.wtg"):
+        if path.name != "fx5.wtg":
+            (tmp_path / path.name).write_text(path.read_text())
+    code, out, _ = run(capsys, "oracle", "--fixtures", str(tmp_path),
+                       "--size", "3")
+    assert code == 1
+    assert "fx5: MISSING" in out.splitlines()
+    assert "fx6 normalize: PASS" in out.splitlines()
+
+
+def test_disambiguate_oracle_reports_an_ambiguous_output(capsys,
+                                                         monkeypatch):
+    # two copies of one grammar give every tree it accepts two runs
+    monkeypatch.setattr(transforms, "disambiguate",
+                        lambda g, hom: transforms.disjoint_union(g, g))
+    code, out, err = run(capsys, "disambiguate", "--grammar",
+                         fx("fx2g.wtg"), "--oracle-size", "4")
+    assert (code, out, err) == (2, "", "error: ambiguous on alpha\n")
+
 def test_oracle_sizes_below_one_are_rejected(capsys):
     normalize = ["transform", "normalize", "--grammar", fx("fx1.wtg")]
     for argv in ([*normalize, "--oracle-size", "-3"],

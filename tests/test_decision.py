@@ -3,8 +3,10 @@ import random
 import pytest
 
 from conftest import gammas, random_eq_restricted, random_wtgc, t
+from wtgc.cli import main
 from wtgc.decision import (
     enumerate_support,
+    finiteness_analysis,
     is_support_empty,
     is_support_finite,
     productivity,
@@ -14,6 +16,7 @@ from wtgc.grammar import Production, Wtgc, classify
 from wtgc.pumping import grammar_height, separation_family
 from wtgc.semantics import evaluate
 from wtgc.semiring import ARCTIC, NATURAL, IntegersMod
+from wtgc.syntax import serialize_grammar
 from wtgc.transforms import eliminate_zero_derivations
 from wtgc.trees import RankedAlphabet, enumerate_trees, leaf, term_str
 from wtgc import trees
@@ -66,6 +69,58 @@ def test_sink_governed_slot_is_infinite():
     assert is_support_finite(g) is False
 
 
+def test_all_sink_children_explain_the_sink_slot():
+    # gamma(bot) -> q: no nonterminal outside the input is named
+    alphabet = RankedAlphabet({"alpha": 0, "gamma": 1})
+    g = sinkful({"q"}, alphabet, {"q": 1},
+                [Production(t("gamma", leaf("bot")), "q", 1)])
+    assert finiteness_analysis(g) == (
+        False, "sink-governed slot in a production for q")
+
+
+def test_finals_in_an_unproductive_cycle_are_not_useful(capsys, tmp_path):
+    alphabet = RankedAlphabet({"alpha": 0, "gamma": 1})
+    g = sinkful({"q", "r"}, alphabet, {"q": 1, "r": 1},
+                [Production(t("gamma", leaf("r")), "q", 1),
+                 Production(t("gamma", leaf("q")), "r", 1)])
+    table = productivity(g)
+    assert table.productive == {"bot"}
+    assert table.reachable == frozenset()
+    assert is_support_empty(g) is True
+    assert finiteness_analysis(g) == (True, "no productive cycle")
+    path = tmp_path / "g.wtg"
+    path.write_text(serialize_grammar(g))
+    assert main(["decide", "empty", "--grammar", str(path),
+                 "--explain"]) == 0
+    assert capsys.readouterr().out == (
+        "empty\nproductive: bot\nreachable: -\n")
+
+
+def test_productions_with_unproductive_children_are_skipped():
+    # sigma(u, bot) -> q never fires, so its free sink slot is no witness
+    alphabet = RankedAlphabet({"alpha": 0, "sigma": 2})
+    g = sinkful({"q", "u"}, alphabet, {"q": 1},
+                [Production(ALPHA, "q", 1),
+                 Production(t("sigma", leaf("u"), leaf("bot")), "q", 1)])
+    assert finiteness_analysis(g) == (True, "no productive cycle")
+    assert enumerate_support(g, 7) == [ALPHA]
+
+
+def test_explanations_name_only_the_input_nonterminals():
+    for seed in range(100):
+        g = random_eq_restricted(seed)
+        _, reason = finiteness_analysis(g)
+        if reason.startswith("cycle: "):
+            named = set(reason[len("cycle: "):].split(" -> "))
+        elif reason.startswith("sink-governed slot in a production for "):
+            named = {reason.rsplit(" ", 1)[1]}
+        else:
+            assert reason == "no productive cycle", seed
+            named = set()
+        assert named <= g.nonterminals, seed
+        assert productivity(g).reachable <= g.nonterminals, seed
+
+
 def test_productivity_table(fx4):
     table = productivity(fx4)
     assert table.productive == {"q", "bot"}
@@ -74,8 +129,9 @@ def test_productivity_table(fx4):
 
 def test_elimination_keeps_only_productive_nonterminals(
         fx1, fx2g, fx2gp, fx3, fx4, fx5, fx6):
-    # the support decisions rely on this: emptiness is read off the
-    # eliminated grammar's final weights without a productivity check
+    # over a zero-divisor free semiring the eliminated grammar is the
+    # productive part of the input; the support decisions read the
+    # input's productivity table instead and do not rely on this
     grammars = [fx1, fx2g, fx2gp, fx3, fx4, fx5, fx6]
     grammars += [random_wtgc(seed) for seed in range(200)]
     grammars += [random_eq_restricted(seed) for seed in range(300)]

@@ -383,6 +383,27 @@ def test_constraint_fast_path_matches_full_canonicalization():
     assert min(kinds.values()) > 100 and len(kinds) == 4
 
 
+
+def test_malformed_constraint_pairs_are_grammar_errors():
+    # a pair that is not two comparable position sequences, given as a
+    # list or as a frozenset, is named whole
+    fqq = t("f", leaf("q"), leaf("q"))
+    cases = [
+        ([("1", (2,))], "bad constraint pair ('1', (2,))"),
+        ([1], "bad constraint pair 1"),
+        ([((1,),)], "bad constraint pair ((1,),)"),
+        ([((1,), (2,), (3,))], "bad constraint pair ((1,), (2,), (3,))"),
+        (frozenset({1}), "bad constraint pair 1"),
+        (frozenset({(("1",), (2,))}), "bad constraint pair (('1',), (2,))"),
+    ]
+    for pairs, message in cases:
+        for eq, ineq in ((pairs, ()), ((), pairs)):
+            with pytest.raises(GrammarError) as info:
+                Production(fqq, "q", 1, eq, ineq)
+            assert str(info.value) == message, pairs
+    # pairs of the right shape are left to `validate`
+    assert Production(fqq, "q", 1, [("2", "1")]).eq == {(("1",), ("2",))}
+
 def test_one_decomposition_per_production_per_grammar(monkeypatch):
     calls = []
     original = grammar.decompose

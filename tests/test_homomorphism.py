@@ -4,7 +4,13 @@ import pytest
 
 from conftest import gammas, random_wta_and_hom, t
 from wtgc.errors import HomomorphismError
-from wtgc.grammar import classify, eq_restriction, production_str
+from wtgc.grammar import (
+    Production,
+    Wtgc,
+    classify,
+    eq_restriction,
+    production_str,
+)
 from wtgc.homomorphism import (
     TreeHom,
     annotated_symbols,
@@ -21,6 +27,7 @@ from wtgc.semantics import (
     evaluate,
     incorporated,
 )
+from wtgc.semiring import NATURAL
 from wtgc.transforms import complement_support, support_automaton
 from wtgc.trees import (
     RankedAlphabet,
@@ -87,6 +94,39 @@ def test_out_of_range_variable_is_a_hom_error(index):
     with pytest.raises(HomomorphismError, match="out of range"):
         TreeHom(source, target, rhs)
 
+
+
+def test_homomorphism_errors(fx3_hom):
+    # each error of a hom and of the image construction, message in full
+    source = RankedAlphabet({"alpha": 0, "pi": 2})
+    target = RankedAlphabet({"alpha": 0, "gamma": 1, "sigma": 2})
+    x1, x2 = leaf("x1"), leaf("x2")
+    wta = Wtgc({"q"}, source, {"q": 1},
+               [Production(ALPHA, "q", 1),
+                Production(t("pi", leaf("q"), leaf("q")), "q", 1)], NATURAL)
+    deleting = TreeHom(source, target,
+                       {"alpha": ALPHA, "pi": t("gamma", x1)})
+    erasing = TreeHom(source, target, {"alpha": ALPHA, "pi": x2})
+    needs = ("image construction needs a nondeleting and nonerasing "
+             "homomorphism")
+    cases = [
+        (lambda: TreeHom(source, target, {"alpha": ALPHA}),
+         "no image for 'pi'"),
+        (lambda: TreeHom(source, target,
+                         {"alpha": ALPHA, "pi": t("zeta", x1, x2)}),
+         "undeclared target symbol 'zeta'"),
+        (lambda: TreeHom(source, target,
+                         {"alpha": ALPHA, "pi": t("sigma", x1)}),
+         "arity mismatch at 'sigma'"),
+        (lambda: image_grammar(wta, deleting), needs),
+        (lambda: image_grammar(wta, erasing), needs),
+        (lambda: image_grammar(wta, fx3_hom),
+         "homomorphism source alphabet mismatch"),
+    ]
+    for call, message in cases:
+        with pytest.raises(HomomorphismError) as info:
+            call()
+        assert str(info.value) == message
 
 def test_flags(fx3_hom):
     assert fx3_hom.nondeleting and fx3_hom.nonerasing

@@ -6,6 +6,7 @@ from wtgc.errors import SemiringError
 from wtgc.semiring import (
     ARCTIC,
     BOOLEAN,
+    INF,
     NATURAL,
     NEG_INF,
     TROPICAL,
@@ -332,3 +333,27 @@ def test_a_semiring_is_built_from_its_parts():
     assert finite.sample() == (0, 1) and not finite.contains(2)
     with pytest.raises(SemiringError, match="^two is not zero-sum free$"):
         support_hom(finite)
+
+
+def test_equality_compares_the_structure():
+    # name, zero, one, the finite carrier and both flags; the hash stays
+    # on the name
+    from operator import add, and_, or_
+
+    for s in ALL + tuple(IntegersMod(m) for m in (2, 6, 7)):
+        assert semiring_from_name(s.name) == s
+    weak = Semiring("boolean", 0, 1, or_, and_, elements=(0, 1),
+                    zero_divisor_free=False)
+    assert weak != BOOLEAN and hash(weak) == hash(BOOLEAN)
+    assert Semiring("boolean", 0, 1, or_, and_, elements=(0, 1)) == BOOLEAN
+    others = [
+        Semiring("tropical", INF, 1, min, add),
+        Semiring("tropical", NEG_INF, 0, min, add),
+        Semiring("tropical", INF, 0, min, add, zero_sum_free=False),
+        Semiring("tropical", INF, 0, min, add, elements=(INF, 0)),
+        Semiring("minplus", INF, 0, min, add),
+    ]
+    assert Semiring("tropical", INF, 0, min, add) == TROPICAL
+    assert all(other != TROPICAL for other in others)
+    assert Semiring("zmod 4", 0, 1, add, add, elements=range(3),
+                    zero_sum_free=False, zero_divisor_free=False) != ZMOD4

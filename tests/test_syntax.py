@@ -5,10 +5,11 @@ import pytest
 from conftest import (FIXTURES, load_grammar, load_hom, random_eq_restricted,
                       random_ne_wtgc, random_wta_and_hom, random_wtgc, t)
 from wtgc import syntax
-from wtgc.errors import ParseError, WtgcError
-from wtgc.grammar import classify
+from wtgc.errors import GrammarError, ParseError, WtgcError
+from wtgc.grammar import Production, Wtgc, classify
 from wtgc.homomorphism import image_grammar, relabeling_hom
-from wtgc.semiring import identity_hom, support_hom
+from wtgc.semiring import (BOOLEAN, INF, NATURAL, IntegersMod, Semiring,
+                           identity_hom, support_hom)
 from wtgc.syntax import (
     parse_grammar,
     parse_hom,
@@ -295,6 +296,27 @@ def test_round_trip_all_fixtures():
         assert again == g
         assert serialize_grammar(again) == text
 
+
+
+def test_writer_refuses_semirings_the_reader_does_not_read_back():
+    from operator import add, and_, or_
+
+    alphabet = RankedAlphabet({"a": 0})
+    cases = [
+        Semiring("minplus", INF, 0, min, add, sample=(INF, 0, 3)),
+        Semiring("boolean", 0, 1, or_, and_, elements=(0, 1),
+                 zero_divisor_free=False),
+        Semiring("zmod 1", 0, 0, add, add, elements=(0,)),
+    ]
+    for s in cases:
+        g = Wtgc({"q"}, alphabet, {"q": s.one}, [], s)
+        with pytest.raises(GrammarError) as info:
+            serialize_grammar(g)
+        assert str(info.value) == f"semiring {s.name!r} would not read back"
+    for s in (BOOLEAN, NATURAL, IntegersMod(4), IntegersMod(5)):
+        g = Wtgc({"q"}, alphabet, {"q": s.one},
+                 [Production(leaf("a"), "q", s.one)], s)
+        assert parse_grammar(serialize_grammar(g)) == g
 
 # the 3-state counter of the constructions benchmark; its weights 2 and
 # 3 are zero divisors in zmod 4 and zmod 6

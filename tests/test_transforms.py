@@ -1027,6 +1027,29 @@ def test_relabel_rejects_rank_clash(fx4):
         relabel(fx4, {"a": "x", "g": "x", "f": "x"})
 
 
+
+def test_transform_errors(fx1, fx2g, fx3, fx4):
+    # each error of a transform's checks, message in full
+    identity = {name: name for name in fx4.alphabet.names()}
+    cases = [
+        (lambda: disjoint_union(fx3, fx4), "alphabet mismatch"),
+        (lambda: disambiguate(fx1, support_hom(ARCTIC)),
+         "disambiguation needs a WTAc"),
+        (lambda: disambiguate(fx2g, support_hom(NATURAL)),
+         "homomorphism source mismatch"),
+        (lambda: transforms.lift_boolean(fx3, NATURAL),
+         "can only lift Boolean grammars"),
+        (lambda: relabel(fx4, {"a": "a", "g": "g"}),
+         "relabeling undefined on 'f'"),
+        (lambda: relabel(fx4, identity,
+                         RankedAlphabet({"a": 0, "f": 1, "g": 2})),
+         "rank mismatch at 'f'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(TransformError) as info:
+            call()
+        assert str(info.value) == message
+
 # -- equal productions add their weights ------------------------------------
 
 
